@@ -38,7 +38,7 @@ Result<Program> BuildDatabaseProgram(const Program& program,
     if (pred == "udom") continue;  // handled below
     Result<const Relation*> rel = database.Get(pred);
     if (!rel.ok()) continue;  // absent input: stays empty
-    for (const Tuple& t : (*rel)->tuples()) {
+    for (TupleView t : (*rel)->tuples()) {
       Clause fact;
       std::vector<Term> args;
       for (const Value& v : t) args.push_back(Term::Const(v));

@@ -59,7 +59,8 @@ struct InferenceState {
 
 }  // namespace
 
-Status InferPredicateTypes(Program* program) {
+Status InferPredicateTypes(
+    Program* program, const std::map<std::string, RelationType>& stored) {
   InferenceState st;
   st.columns.resize(program->predicates.size());
   for (size_t p = 0; p < program->predicates.size(); ++p) {
@@ -81,106 +82,128 @@ Status InferPredicateTypes(Program* program) {
   // global column states only — clause-local variable slots are rebuilt
   // every round and must not count as change.
   std::vector<std::vector<SortState>> snapshot;
-  do {
-    snapshot = st.columns;
-    st.changed = false;
-    for (const Clause& clause : program->clauses) {
-      std::map<std::string, SortState> vars;
-      // Several passes per clause so information can flow both ways
-      // between literals through shared variables.
-      for (int pass = 0; pass < 2; ++pass) {
-        auto visit_position = [&](const Term& term, SortState* column_slot,
-                                  const std::string& where) {
-          if (term.is_constant()) {
+  while (true) {
+    do {
+      snapshot = st.columns;
+      st.changed = false;
+      for (const Clause& clause : program->clauses) {
+        std::map<std::string, SortState> vars;
+        // Several passes per clause so information can flow both ways
+        // between literals through shared variables.
+        for (int pass = 0; pass < 2; ++pass) {
+          auto visit_position = [&](const Term& term, SortState* column_slot,
+                                    const std::string& where) {
+            if (term.is_constant()) {
+              if (column_slot != nullptr) {
+                st.MeetInto(column_slot, FromSort(term.value().sort()), where);
+              }
+              return;
+            }
+            SortState& var_slot = vars[term.var_name()];
             if (column_slot != nullptr) {
-              st.MeetInto(column_slot, FromSort(term.value().sort()), where);
+              st.MeetInto(&var_slot, *column_slot, where);
+              st.MeetInto(column_slot, var_slot, where);
             }
-            return;
-          }
-          SortState& var_slot = vars[term.var_name()];
-          if (column_slot != nullptr) {
-            st.MeetInto(&var_slot, *column_slot, where);
-            st.MeetInto(column_slot, var_slot, where);
-          }
-        };
-        auto visit_fixed = [&](const Term& term, SortState fixed,
-                               const std::string& where) {
-          if (term.is_constant()) {
-            SortState slot = FromSort(term.value().sort());
-            st.MeetInto(&slot, fixed, where);
-            return;
-          }
-          SortState& var_slot = vars[term.var_name()];
-          st.MeetInto(&var_slot, fixed, where);
-        };
+          };
+          auto visit_fixed = [&](const Term& term, SortState fixed,
+                                 const std::string& where) {
+            if (term.is_constant()) {
+              SortState slot = FromSort(term.value().sort());
+              st.MeetInto(&slot, fixed, where);
+              return;
+            }
+            SortState& var_slot = vars[term.var_name()];
+            st.MeetInto(&var_slot, fixed, where);
+          };
 
-        auto visit_atom = [&](const Atom& atom) {
-          switch (atom.kind) {
-            case AtomKind::kOrdinary: {
-              int p = pred_index(atom.predicate);
-              if (p < 0) return;
-              for (int c = 0; c < atom.arity(); ++c) {
-                visit_position(atom.terms[c], &st.columns[p][c],
-                               atom.predicate);
-              }
-              break;
-            }
-            case AtomKind::kId: {
-              int p = pred_index(atom.predicate);
-              for (int c = 0; c < atom.base_arity(); ++c) {
-                visit_position(atom.terms[c],
-                               p >= 0 ? &st.columns[p][c] : nullptr,
-                               atom.predicate);
-              }
-              // Trailing tid argument is always sort i.
-              visit_fixed(atom.terms.back(), SortState::kI,
-                          atom.predicate + "[tid]");
-              break;
-            }
-            case AtomKind::kBuiltin: {
-              SortState fixed = BuiltinArgSort(atom.builtin);
-              if (fixed == SortState::kI) {
-                for (const Term& t : atom.terms) {
-                  visit_fixed(t, SortState::kI, BuiltinName(atom.builtin));
+          auto visit_atom = [&](const Atom& atom) {
+            switch (atom.kind) {
+              case AtomKind::kOrdinary: {
+                int p = pred_index(atom.predicate);
+                if (p < 0) return;
+                for (int c = 0; c < atom.arity(); ++c) {
+                  visit_position(atom.terms[c], &st.columns[p][c],
+                                 atom.predicate);
                 }
-              } else {
-                // eq/ne: both sides share a sort.
-                const Term& a = atom.terms[0];
-                const Term& b = atom.terms[1];
-                SortState sa = a.is_constant() ? FromSort(a.value().sort())
-                                               : vars[a.var_name()];
-                SortState sb = b.is_constant() ? FromSort(b.value().sort())
-                                               : vars[b.var_name()];
-                auto met = Meet(sa, sb);
-                if (!met.has_value()) {
-                  if (st.error.ok()) {
-                    st.error = Status::TypeError(
-                        "sort conflict across (in)equality");
+                break;
+              }
+              case AtomKind::kId: {
+                int p = pred_index(atom.predicate);
+                for (int c = 0; c < atom.base_arity(); ++c) {
+                  visit_position(atom.terms[c],
+                                 p >= 0 ? &st.columns[p][c] : nullptr,
+                                 atom.predicate);
+                }
+                // Trailing tid argument is always sort i.
+                visit_fixed(atom.terms.back(), SortState::kI,
+                            atom.predicate + "[tid]");
+                break;
+              }
+              case AtomKind::kBuiltin: {
+                SortState fixed = BuiltinArgSort(atom.builtin);
+                if (fixed == SortState::kI) {
+                  for (const Term& t : atom.terms) {
+                    visit_fixed(t, SortState::kI, BuiltinName(atom.builtin));
                   }
-                  return;
+                } else {
+                  // eq/ne: both sides share a sort.
+                  const Term& a = atom.terms[0];
+                  const Term& b = atom.terms[1];
+                  SortState sa = a.is_constant() ? FromSort(a.value().sort())
+                                                 : vars[a.var_name()];
+                  SortState sb = b.is_constant() ? FromSort(b.value().sort())
+                                                 : vars[b.var_name()];
+                  auto met = Meet(sa, sb);
+                  if (!met.has_value()) {
+                    if (st.error.ok()) {
+                      st.error = Status::TypeError(
+                          "sort conflict across (in)equality");
+                    }
+                    return;
+                  }
+                  if (a.is_variable()) {
+                    st.MeetInto(&vars[a.var_name()], *met, "=");
+                  }
+                  if (b.is_variable()) {
+                    st.MeetInto(&vars[b.var_name()], *met, "=");
+                  }
                 }
-                if (a.is_variable()) {
-                  st.MeetInto(&vars[a.var_name()], *met, "=");
-                }
-                if (b.is_variable()) {
-                  st.MeetInto(&vars[b.var_name()], *met, "=");
-                }
+                break;
               }
-              break;
+              case AtomKind::kChoice:
+                // Choice arguments take their sorts from the other literals
+                // the variables appear in; nothing fixed here.
+                break;
             }
-            case AtomKind::kChoice:
-              // Choice arguments take their sorts from the other literals
-              // the variables appear in; nothing fixed here.
-              break;
-          }
-        };
+          };
 
-        visit_atom(clause.head);
-        for (const Literal& lit : clause.body) visit_atom(lit.atom);
+          visit_atom(clause.head);
+          for (const Literal& lit : clause.body) visit_atom(lit.atom);
+        }
+      }
+      if (!st.error.ok()) return st.error;
+    } while (st.columns != snapshot);
+
+    // Stored relations fill in the columns no clause constrains, then the
+    // fixpoint runs again so their sorts flow through shared variables.
+    // They never override a sort the program itself forces.
+    bool seeded = false;
+    for (size_t p = 0; p < program->predicates.size(); ++p) {
+      const PredicateInfo& info = program->predicates[p];
+      auto it = stored.find(info.name);
+      if (info.declared || it == stored.end() ||
+          it->second.size() != info.type.size()) {
+        continue;
+      }
+      for (size_t c = 0; c < info.type.size(); ++c) {
+        if (st.columns[p][c] == SortState::kUnknown) {
+          st.columns[p][c] = FromSort(it->second[c]);
+          seeded = true;
+        }
       }
     }
-    if (!st.error.ok()) return st.error;
-  } while (st.columns != snapshot);
+    if (!seeded) break;
+  }
 
   // Write back; unconstrained columns default to sort u.
   for (size_t p = 0; p < program->predicates.size(); ++p) {

@@ -2,6 +2,7 @@
 #define IDLOG_AST_PROGRAM_BUILDER_H_
 
 #include <initializer_list>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,15 @@ namespace idlog {
 /// constants, built-in argument positions and variable sharing, by a
 /// fixpoint over all clauses. Columns left unconstrained default to
 /// sort u. Returns TypeError on a sort conflict.
-Status InferPredicateTypes(Program* program);
+///
+/// `stored` seeds the inference with the column sorts of relations that
+/// already hold data (the loaded EDB): an undeclared predicate with a
+/// stored relation of the same arity starts from that relation's type,
+/// like a declaration would. Without it, a column that no clause
+/// constrains defaults to u even when the stored tuples are integers.
+Status InferPredicateTypes(
+    Program* program,
+    const std::map<std::string, RelationType>& stored = {});
 
 /// Convenience builder for constructing programs in C++ (used by the
 /// Turing-machine compiler, the DATALOG^C translator and tests). Interns

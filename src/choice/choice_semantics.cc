@@ -28,7 +28,7 @@ std::vector<std::vector<Tuple>> GroupByDomain(const Relation& rel,
   for (size_t i = 0; i < domain_arity; ++i) cols.push_back(static_cast<int>(i));
   std::vector<std::vector<Tuple>> groups;
   std::map<Tuple, size_t> index;
-  for (const Tuple& t : rel.tuples()) {
+  for (TupleView t : rel.tuples()) {
     Tuple key = ProjectTuple(t, cols);
     auto [it, inserted] = index.emplace(std::move(key), groups.size());
     if (inserted) groups.emplace_back();
@@ -125,7 +125,7 @@ Result<Database> EvaluateWithSelections(
   for (const std::string& pred : classes.output) {
     IDLOG_ASSIGN_OR_RETURN(const Relation* rel, engine.RelationOf(pred));
     IDLOG_RETURN_NOT_OK(result.CreateRelation(pred, rel->type()));
-    for (const Tuple& t : rel->tuples()) {
+    for (TupleView t : rel->tuples()) {
       IDLOG_RETURN_NOT_OK(result.AddTuple(pred, t));
     }
   }
@@ -136,7 +136,7 @@ Result<Database> EvaluateWithSelections(
     IDLOG_RETURN_NOT_OK(
         result.CreateRelation(occ.ext_pred, pc.ext_types[i]));
     IDLOG_ASSIGN_OR_RETURN(const Relation* sel, working.Get(occ.ext_pred));
-    for (const Tuple& t : sel->tuples()) {
+    for (TupleView t : sel->tuples()) {
       IDLOG_RETURN_NOT_OK(result.AddTuple(occ.ext_pred, t));
     }
   }

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "common/value.h"
 #include "eval/eval_stats.h"
 
 namespace idlog {
@@ -309,10 +310,15 @@ inline void ArmLegacyIterationCap(ResourceGovernor* governor, uint64_t cap) {
   if (cap == 0) (void)governor->OnIteration();
 }
 
-/// Rough per-tuple heap cost used for the approximate-memory budget:
-/// the inline Values plus container/node overhead.
+/// Per-tuple heap cost used for the approximate-memory budget, derived
+/// from the flat storage layout (storage/relation.h): the row's 8-byte
+/// packed Values in the arity-strided row array, plus one 8-byte
+/// membership slot at the table's maximum load of 1/2 (16 bytes per
+/// tuple). Both arrays grow by doubling, so a relation's actual heap
+/// lies between 1x and 2x of size() * ApproxTupleBytes(arity) —
+/// storage_test pins that bound against Relation::heap_bytes().
 inline uint64_t ApproxTupleBytes(size_t arity) {
-  return static_cast<uint64_t>(arity) * 16 + 48;
+  return static_cast<uint64_t>(arity) * sizeof(Value) + 2 * sizeof(uint64_t);
 }
 
 }  // namespace idlog

@@ -2,6 +2,7 @@
 #define IDLOG_COMMON_SYMBOL_TABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -49,7 +50,15 @@ class SymbolTable {
   static constexpr SymbolId kNoSymbol = UINT32_MAX;
 
  private:
-  std::unordered_map<std::string, SymbolId> ids_;
+  /// Transparent hash: lookups by string_view build no std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  std::unordered_map<std::string, SymbolId, NameHash, std::equal_to<>> ids_;
   std::vector<std::string> names_;
 };
 

@@ -10,7 +10,7 @@ std::string Value::ToString(const SymbolTable& symbols) const {
   return "<sym#" + std::to_string(symbol()) + ">";
 }
 
-std::string TupleToString(const Tuple& t, const SymbolTable& symbols) {
+std::string TupleToString(TupleView t, const SymbolTable& symbols) {
   std::string out = "(";
   for (size_t i = 0; i < t.size(); ++i) {
     if (i > 0) out += ", ";

@@ -23,7 +23,7 @@ Result<Relation> RunAggregateProgram(
   Database db(&symbols);
   IDLOG_RETURN_NOT_OK(db.CreateRelation("r", rel.type()));
   IDLOG_ASSIGN_OR_RETURN(Relation * stored, db.GetMutable("r"));
-  for (const Tuple& t : rel.tuples()) stored->Insert(t);
+  for (TupleView t : rel.tuples()) stored->Insert(t);
 
   ProgramBuilder builder(&symbols);
   builder.Declare("r", rel.type());

@@ -2,6 +2,7 @@
 
 #include "analysis/dependency_graph.h"
 #include "ast/printer.h"
+#include "ast/program_builder.h"
 #include "common/failpoint.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -47,6 +48,7 @@ Status IdlogEngine::LoadProgram(Program program) {
         "hash mismatch); resume with the same program text the snapshot "
         "was taken under");
   }
+  IDLOG_RETURN_NOT_OK(BindProgramToDatabase());
   auto impl = std::make_unique<EngineImpl>(&program_, &database_);
   impl->set_tid_bound_pushdown(tid_bound_pushdown_);
   impl->set_provenance_enabled(provenance_);
@@ -60,6 +62,87 @@ Status IdlogEngine::LoadProgram(Program program) {
   IDLOG_RETURN_NOT_OK(impl->Prepare());
   impl_ = std::move(impl);
   ran_ = false;
+  return Status::OK();
+}
+
+namespace {
+
+/// A bodyless clause whose head is ordinary and fully ground.
+bool IsGroundFact(const Clause& clause) {
+  if (!clause.body.empty() || clause.head.kind != AtomKind::kOrdinary) {
+    return false;
+  }
+  for (const Term& term : clause.head.terms) {
+    if (!term.is_constant()) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+Status IdlogEngine::BindProgramToDatabase() {
+  // Stored relations type their undeclared predicates: integer CSV data
+  // makes its columns sort i even where no clause says so, so derived
+  // relations, snapshots and recovery all agree with the stored tuples.
+  std::map<std::string, RelationType> stored;
+  for (const PredicateInfo& info : program_.predicates) {
+    if (info.declared) continue;
+    Result<const Relation*> rel = database_.Get(info.name);
+    if (rel.ok()) stored.emplace(info.name, (*rel)->type());
+  }
+  if (!stored.empty()) {
+    IDLOG_RETURN_NOT_OK(InferPredicateTypes(&program_, stored));
+  }
+
+  // A predicate defined only by ground facts is extensional (the
+  // Datalog convention): its facts join the stored relation of that
+  // name — rows loaded from CSV included — and its clauses leave the
+  // evaluated program, so it is neither shadowed by nor shadows the
+  // stored rows, and session updates may change it. A resumed engine
+  // already holds the merged relation (with its later updates) in the
+  // adopted snapshot, so only a relation missing there is filled in.
+  std::set<std::string> rule_heads;
+  for (const Clause& clause : program_.clauses) {
+    if (!IsGroundFact(clause)) rule_heads.insert(clause.head.predicate);
+  }
+  for (const std::string& pred : rule_heads) {
+    Result<const Relation*> rel = database_.Get(pred);
+    if (rel.ok() && !(*rel)->empty()) {
+      return Status::InvalidArgument(
+          "'" + pred + "' is defined by rules and also has " +
+          std::to_string((*rel)->size()) +
+          " stored rows, which the derived relation would silently "
+          "replace; store the rows under another name and add a rule "
+          "copying them");
+    }
+  }
+  std::vector<Clause> rules;
+  std::set<std::string> present_before;
+  for (const std::string& name : database_.relation_names()) {
+    present_before.insert(name);
+  }
+  for (Clause& clause : program_.clauses) {
+    const std::string& pred = clause.head.predicate;
+    if (rule_heads.count(pred) > 0) {
+      rules.push_back(std::move(clause));
+      continue;
+    }
+    if (pending_resume_ != nullptr && present_before.count(pred) > 0) {
+      continue;
+    }
+    const PredicateInfo& info =
+        program_.predicates[static_cast<size_t>(program_.FindPredicate(pred))];
+    Status st = database_.CreateRelation(pred, info.type);
+    Tuple t;
+    for (const Term& term : clause.head.terms) t.push_back(term.value());
+    if (st.ok()) st = database_.AddTuple(pred, std::move(t));
+    if (!st.ok()) {
+      return Status(st.code(), "program fact for '" + pred +
+                                   "' does not fit its stored relation: " +
+                                   st.message());
+    }
+  }
+  program_.clauses = std::move(rules);
   return Status::OK();
 }
 
@@ -236,7 +319,7 @@ Status IdlogEngine::AdoptSnapshot(SnapshotData snap) {
   symbols_ = snap.symbols;
   for (const SnapshotData::NamedRelation& nr : snap.edb) {
     IDLOG_RETURN_NOT_OK(database_.CreateRelation(nr.name, nr.relation.type()));
-    for (const Tuple& t : nr.relation.tuples()) {
+    for (TupleView t : nr.relation.tuples()) {
       IDLOG_RETURN_NOT_OK(database_.AddTuple(nr.name, t));
     }
     // The snapshot's logical counters survive the round trip; the

@@ -52,8 +52,19 @@ class IdlogEngine {
 
   /// Loads an already-built Program (its u-constants must be interned
   /// in this engine's symbol table).
+  ///
+  /// Loading binds the program to the database. Undeclared predicates
+  /// that already have a stored relation take their column sorts from
+  /// it. A predicate defined only by ground facts is extensional: its
+  /// facts are added to the stored relation of that name (next to any
+  /// CSV rows) and its clauses are dropped from the evaluated program.
+  /// A fact whose sorts or arity do not fit that relation fails with
+  /// TypeError; stored rows under a rule-defined predicate fail with
+  /// InvalidArgument (the derived relation would replace them).
   Status LoadProgram(Program program);
 
+  /// The evaluated program: the loaded one minus the fact-only
+  /// predicates LoadProgram moved into the database.
   const Program& program() const { return program_; }
   bool has_program() const { return impl_ != nullptr; }
 
@@ -412,6 +423,8 @@ class IdlogEngine {
   /// recovered sessions report the same totals.memory_bytes as the
   /// session they replace.
   Status RechargeGovernor();
+  /// LoadProgram's database binding (sort seeding, fact merge).
+  Status BindProgramToDatabase();
   Status ReplayWal(const WalScanResult& scan, uint64_t replay_from);
 
   SymbolTable symbols_;

@@ -19,9 +19,9 @@ Result<Relation> SampleKPerGroupWith(const Relation& rel,
                          BuildIdRelation("sample_input", rel, group_cols,
                                          assigner));
   Relation out(rel.type());
-  for (const Tuple& t : id_rel.tuples()) {
+  for (TupleView t : id_rel.tuples()) {
     if (t.back().number() < k) {
-      out.Insert(Tuple(t.begin(), t.end() - 1));
+      out.Insert(TupleView(t.data(), t.size() - 1));
     }
   }
   return out;

@@ -92,6 +92,12 @@ const Relation* EngineImpl::FullRelation(const std::string& pred) const {
 
 void EngineImpl::InstallResumeState(EvalResumeState state) {
   derived_ = std::move(state.derived);
+  // Only IDB relations belong here. A snapshot cut before fact-only
+  // predicates became extensional still carries them as derived; the
+  // database now holds those facts, and a stale copy would shadow it.
+  for (auto it = derived_.begin(); it != derived_.end();) {
+    it = idb_preds_.count(it->first) > 0 ? std::next(it) : derived_.erase(it);
+  }
   id_relations_ = std::move(state.id_relations);
   stats_ = state.stats;
   plan_analysis_ =
@@ -558,7 +564,7 @@ Status EngineImpl::EvaluateIncremental(
       for (const auto& [pred, rel] : delta) {
         Relation& acc =
             seed.try_emplace(pred, Relation(rel.type())).first->second;
-        for (const Tuple& t : rel.tuples()) acc.Insert(t);
+        for (TupleView t : rel.tuples()) acc.Insert(t);
         seed_preds.insert(pred);
       }
       return Status::OK();
@@ -636,10 +642,10 @@ Result<bool> EngineImpl::VerifyModel() {
   for (const RulePlan& plan : plans_) {
     const Relation* current = FullRelation(plan.head_pred);
     if (current == nullptr) return false;
-    Relation derived(current->type());
+    RowBuffer derived(plan.head_args.size());
     IDLOG_RETURN_NOT_OK(
         EvaluateRuleInto(plan, ctx, /*delta_step=*/-1, &derived));
-    for (const Tuple& t : derived.tuples()) {
+    for (TupleView t : derived.rows()) {
       if (!current->Contains(t)) return false;
     }
   }

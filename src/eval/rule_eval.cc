@@ -1,5 +1,6 @@
 #include "eval/rule_eval.h"
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -14,9 +15,16 @@ namespace {
 class RuleExecutor {
  public:
   RuleExecutor(const RulePlan& plan, const EvalContext& ctx, int delta_step,
-               Relation* out)
+               RowBuffer* out)
       : plan_(plan), ctx_(ctx), delta_step_(delta_step), out_(out),
         slots_(static_cast<size_t>(plan.num_slots)) {
+    // One probe buffer serves every step: a step consumes its key (index
+    // lookup or negation probe) before descending to the next step.
+    size_t probe_width = 0;
+    for (const PlanStep& step : plan.steps) {
+      probe_width = std::max(probe_width, step.sources.size());
+    }
+    probe_.resize(probe_width);
     if (ctx_.provenance != nullptr) {
       premises_.resize(plan.steps.size());
     }
@@ -74,14 +82,19 @@ class RuleExecutor {
   Status EmitHead() {
     IDLOG_FAILPOINT("eval.emit.insert");
     // The emit pseudo-step (index steps.size()): rows_in mirrors
-    // facts_derived, rows_emitted mirrors facts_inserted.
+    // facts_derived here; rows_emitted mirrors facts_inserted, which the
+    // driver counts at commit, where "new" is judged against the full
+    // relation.
     StepCounters* emit = sc_ != nullptr ? &sc_[plan_.steps.size()] : nullptr;
     if (emit != nullptr) ++emit->rows_in;
-    Tuple t;
-    t.reserve(plan_.head_args.size());
-    for (const ArgSource& src : plan_.head_args) t.push_back(Resolve(src));
+    Value* row = out_->AppendRow();
+    for (size_t k = 0; k < plan_.head_args.size(); ++k) {
+      row[k] = Resolve(plan_.head_args[k]);
+    }
     if (ctx_.stats != nullptr) ++ctx_.stats->facts_derived;
-    size_t prov_bytes = 0;
+    if (ctx_.staged_order != nullptr) {
+      ctx_.staged_order->push_back(cur_delta_row_);
+    }
     if (ctx_.provenance != nullptr) {
       // Interned at first emit, not construction: the store's predicate
       // table must hold exactly the predicates with recorded nodes, in
@@ -89,34 +102,14 @@ class RuleExecutor {
       // sees recorded nodes) would diverge from a serial run. Cached, so
       // later emits stay id-keyed with no string hashing/copies.
       if (head_pred_id_ == ProvenanceStore::kNoPred) {
-        const size_t before = ctx_.provenance->approx_bytes();
         head_pred_id_ = ctx_.provenance->InternPredicate(plan_.head_pred);
-        // First emit also pays the interning bytes, keeping governor
-        // charges equal to the store's approx_bytes growth.
-        prov_bytes += ctx_.provenance->approx_bytes() - before;
       }
+      // Bytes are charged when the driver absorbs the store.
       const size_t node_bytes = ctx_.provenance->Record(
-          head_pred_id_, t, plan_.clause_index, premises_);
-      prov_bytes += node_bytes;
+          head_pred_id_, (*out_)[out_->size() - 1], plan_.clause_index,
+          premises_);
       if (node_bytes > 0 && ctx_.prov_order != nullptr) {
         ctx_.prov_order->push_back(cur_delta_row_);
-      }
-    }
-    if (out_->Insert(std::move(t))) {
-      if (ctx_.staged_order != nullptr) {
-        ctx_.staged_order->push_back(cur_delta_row_);
-      }
-      // Round tasks stage into a private relation; whether the tuple is
-      // new globally is only known at the driver's Commit, which does
-      // this accounting (rows_emitted included) there in deterministic
-      // task order against the full relation. Provenance bytes are
-      // likewise charged when the private store is absorbed.
-      if (ctx_.defer_inserts) return Status::OK();
-      if (emit != nullptr) ++emit->rows_emitted;
-      if (ctx_.stats != nullptr) ++ctx_.stats->facts_inserted;
-      if (ctx_.governor != nullptr) {
-        return ctx_.governor->OnDerived(
-            1, ApproxTupleBytes(plan_.head_args.size()) + prov_bytes);
       }
     }
     return Status::OK();
@@ -126,7 +119,7 @@ class RuleExecutor {
   /// (all columns when none were identified) modulo the partition
   /// count. Purely value-based, so it is identical across --jobs and
   /// independent of scheduling.
-  int PartitionOf(const Tuple& row) const {
+  int PartitionOf(TupleView row) const {
     size_t h;
     if (ctx_.partition_cols != nullptr && !ctx_.partition_cols->empty()) {
       h = ctx_.partition_cols->size();
@@ -143,7 +136,7 @@ class RuleExecutor {
   // Verifies kKey positions against `row` (needed when scanning without
   // an index — the ablation path and the parallel worker's fallback
   // when a frozen index is unavailable; index lookups guarantee them).
-  bool KeysMatch(const PlanStep& step, const Tuple& row) {
+  bool KeysMatch(const PlanStep& step, TupleView row) {
     if (step.key_cols.empty()) return true;
     for (int col : step.key_cols) {
       if (Resolve(step.sources[static_cast<size_t>(col)]) !=
@@ -156,7 +149,7 @@ class RuleExecutor {
 
   // Applies write/filter argument modes against `row`; returns false on
   // a filter mismatch. kKey positions are guaranteed by the index.
-  bool BindRow(const PlanStep& step, const Tuple& row) {
+  bool BindRow(const PlanStep& step, TupleView row) {
     for (size_t pos = 0; pos < step.modes.size(); ++pos) {
       const ArgSource& src = step.sources[pos];
       switch (step.modes[pos]) {
@@ -247,7 +240,7 @@ class RuleExecutor {
           const bool partitioned =
               use_delta && i == 0 && ctx_.partition_count > 1;
           uint64_t ordinal = 0;
-          for (const Tuple& row : rel->tuples()) {
+          for (TupleView row : rel->tuples()) {
             const uint64_t r = ordinal++;
             if (partitioned) {
               if (PartitionOf(row) != ctx_.partition_index) continue;
@@ -267,22 +260,20 @@ class RuleExecutor {
           return Status::OK();
         }
 
-        Tuple key;
-        key.reserve(step.key_cols.size());
-        for (int col : step.key_cols) {
-          key.push_back(Resolve(step.sources[static_cast<size_t>(col)]));
+        const size_t nkeys = step.key_cols.size();
+        for (size_t k = 0; k < nkeys; ++k) {
+          probe_[k] = Resolve(
+              step.sources[static_cast<size_t>(step.key_cols[k])]);
         }
         if (ctx_.stats != nullptr) ++ctx_.stats->index_probes;
         if (sc != nullptr) ++sc->index_probes;
-        const std::vector<size_t>* rows = index->Lookup(key);
-        if (rows == nullptr) return Status::OK();
-        for (size_t r : *rows) {
+        for (size_t r : index->Lookup(TupleView(probe_.data(), nkeys))) {
           if (ctx_.stats != nullptr) ++ctx_.stats->tuples_considered;
           if (sc != nullptr) ++sc->rows_scanned;
           if (ctx_.governor != nullptr) {
             IDLOG_RETURN_NOT_OK(ctx_.governor->CheckPoint());
           }
-          const Tuple& row = rel->tuples()[r];
+          const TupleView row = rel->row(r);
           if (!BindRow(step, row)) continue;
           if (ctx_.provenance != nullptr) RecordScanPremise(i, step, row);
           if (sc != nullptr) ++sc->rows_emitted;
@@ -294,9 +285,9 @@ class RuleExecutor {
       case PlanStep::Kind::kNegation: {
         IDLOG_ASSIGN_OR_RETURN(const Relation* rel,
                                ResolveRelation(step, /*use_delta=*/false));
-        Tuple probe;
-        probe.reserve(step.sources.size());
-        for (const ArgSource& src : step.sources) probe.push_back(Resolve(src));
+        const size_t width = step.sources.size();
+        for (size_t k = 0; k < width; ++k) probe_[k] = Resolve(step.sources[k]);
+        const TupleView probe(probe_.data(), width);
         if (ctx_.stats != nullptr) ++ctx_.stats->tuples_considered;
         if (sc != nullptr) ++sc->rows_scanned;
         if (ctx_.governor != nullptr) {
@@ -308,7 +299,7 @@ class RuleExecutor {
           p.kind = Premise::Kind::kNegation;
           p.predicate = step.predicate;
           p.group = step.group;
-          p.tuple = std::move(probe);
+          p.tuple.assign(probe.begin(), probe.end());
         }
         if (sc != nullptr) ++sc->rows_emitted;
         return RunStep(i + 1);
@@ -369,12 +360,12 @@ class RuleExecutor {
     return Status::Internal("unknown plan step kind");
   }
 
-  void RecordScanPremise(size_t i, const PlanStep& step, const Tuple& row) {
+  void RecordScanPremise(size_t i, const PlanStep& step, TupleView row) {
     Premise& p = premises_[i];
     p.kind = step.is_id ? Premise::Kind::kIdFact : Premise::Kind::kFact;
     p.predicate = step.predicate;
     p.group = step.group;
-    p.tuple = row;
+    p.tuple.assign(row.begin(), row.end());
   }
 
   void RecordBuiltinPremise(size_t i, const PlanStep& step,
@@ -398,8 +389,10 @@ class RuleExecutor {
   const RulePlan& plan_;
   const EvalContext& ctx_;
   int delta_step_;
-  Relation* out_;
+  RowBuffer* out_;
   std::vector<Value> slots_;
+  /// Scratch for index keys and negation probes (see the constructor).
+  std::vector<Value> probe_;
   std::vector<Premise> premises_;
   /// Interned head predicate id (valid only when provenance is on).
   ProvenanceStore::PredId head_pred_id_ = ProvenanceStore::kNoPred;
@@ -415,7 +408,7 @@ class RuleExecutor {
 }  // namespace
 
 Status EvaluateRuleInto(const RulePlan& plan, const EvalContext& ctx,
-                        int delta_step, Relation* out) {
+                        int delta_step, RowBuffer* out) {
   RuleExecutor executor(plan, ctx, delta_step, out);
   return executor.Run();
 }

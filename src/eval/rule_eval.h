@@ -71,16 +71,6 @@ struct EvalContext {
   /// builds.
   bool parallel_worker = false;
 
-  /// Set on every context handed to a round task (serial or pooled):
-  /// staged-insert accounting (stats->facts_inserted, the emit step's
-  /// rows_emitted, governor OnDerived charges, provenance byte charges)
-  /// is deferred to the driver's Commit, where "new" means new in the
-  /// full relation — the only definition that is invariant across both
-  /// --jobs and partition counts. Paths that evaluate rules outside the
-  /// stratified fixpoint (grounder, choice, inflationary) leave this
-  /// false and keep the immediate staging-new accounting.
-  bool defer_inserts = false;
-
   /// Configured delta-partition fan-out for the stratified fixpoint:
   /// 0 = auto (match the pool's parallelism; 1 without a pool), an
   /// explicit K >= 1 forces K partitions even in serial runs — the
@@ -105,7 +95,7 @@ struct EvalContext {
 
   /// Order tags for partitioned tasks (null when partition_count == 1).
   /// The executor appends the current delta-row ordinal once per staged
-  /// tuple that is new in the private staging (`staged_order`) and once
+  /// row (`staged_order`) and once
   /// per provenance record actually retained (`prov_order`). Rows are
   /// owned by exactly one partition, so a K-way merge by these tags
   /// reconstructs the serial emission order across partitions — which
@@ -145,12 +135,20 @@ struct EvalContext {
   const SymbolTable* symbols = nullptr;
 };
 
-/// Evaluates one rule bottom-up, inserting derived head tuples into
-/// `out`. If `delta_step >= 0`, that step (which must be a positive
-/// non-ID scan) reads the delta relation instead of the full relation —
-/// the semi-naive differentiation hook.
+/// Evaluates one rule bottom-up, appending every derived head tuple to
+/// `out` (arity = the head's), duplicates included. If `delta_step >=
+/// 0`, that step (which must be a positive non-ID scan) reads the delta
+/// relation instead of the full relation — the semi-naive
+/// differentiation hook.
+///
+/// Whether a derived tuple is *new* is not decided here: the caller
+/// commits `out` into the full relation, and that commit is where
+/// facts_inserted, the emit step's rows_emitted, governor OnDerived
+/// charges and provenance byte charges are accounted — the one
+/// definition of "new" that is invariant across --jobs and partition
+/// counts.
 Status EvaluateRuleInto(const RulePlan& plan, const EvalContext& ctx,
-                        int delta_step, Relation* out);
+                        int delta_step, RowBuffer* out);
 
 }  // namespace idlog
 

@@ -110,13 +110,6 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
     delta = std::move(next);
   };
 
-  // Shape a staging relation after the existing full relation.
-  auto staging_type = [&](const RulePlan& plan) -> RelationType {
-    const Relation* full = base_ctx.full(plan.head_pred);
-    return full != nullptr ? full->type()
-                           : RelationType(plan.head_args.size(), Sort::kU);
-  };
-
   // Fan-out of one (rule, delta_step) task. Only the heavy shape is
   // eligible: a semi-naive task whose delta scan is the *outermost*
   // plan step with no bound keys — then the serial emission order is
@@ -147,7 +140,7 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
   // staged. The task list is built in the exact order the serial loop
   // evaluates; the executor runs every task's parts (concurrently when
   // a pool is installed, else in order on this thread) into private
-  // relations, and the merge below walks tasks in that same order —
+  // row buffers, and the merge below walks tasks in that same order —
   // partitions K-way-merged back into delta-row order — so fixpoint
   // contents, stats, profile columns, explain counters, trace spans and
   // the provenance store come out identical for every --jobs and
@@ -165,7 +158,7 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
       for (size_t p = 0; p < task.parts.size(); ++p) {
         RoundPart& part = task.parts[p];
         part.partition = static_cast<int>(p);
-        part.staged = Relation(staging_type(*task.plan));
+        part.staged = RowBuffer(task.plan->head_args.size());
         if (ctx.analyze != nullptr) {
           part.step_stats.steps.resize(task.plan->steps.size() + 1);
         }
@@ -232,36 +225,42 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
         }
       }
 
-      // Commit: insert this task's staged tuples into the full
-      // relation, in serial emission order (partitions merged by their
-      // delta-row tags). Dedup within a part came free from its staged
-      // relation; cross-part and cross-task duplicates — and
-      // re-derivations from earlier rounds — all fall out of the one
-      // Insert against full. Skipped for a failed round: the round's
-      // results are discarded, exactly as the serial early return
-      // discards its staging.
+      // Commit: insert this task's staged rows into the full relation,
+      // in serial emission order (partitions merged by their delta-row
+      // tags). This is the one dedup per derived fact: duplicates within
+      // a part, across parts and tasks, and re-derivations from earlier
+      // rounds all fall out of the single hashed probe against full. A
+      // row found new there is new everywhere, so it joins the next
+      // delta under the same hash without a second probe. Skipped for a
+      // failed round: the round's results are discarded, exactly as the
+      // serial early return discards its staging.
       uint64_t inserted = 0;
       Status commit_status = Status::OK();
       if (!failed) {
-        Relation& full = (*derived)[task.plan->head_pred];
-        // The staged relation was typed before this entry existed, so
-        // its type is the authoritative shape for a new full relation.
-        RelationType type = task.parts[0].staged.type();
-        if (full.arity() == 0 && full.empty() && !type.empty()) {
-          full = Relation(type);
+        // Evaluate() pre-creates every IDB relation with its inferred
+        // type, so the head's full relation exists and is authoritative.
+        auto full_it = derived->find(task.plan->head_pred);
+        if (full_it == derived->end() ||
+            static_cast<size_t>(full_it->second.arity()) !=
+                task.plan->head_args.size()) {
+          return Status::Internal("no relation of arity " +
+                                  std::to_string(task.plan->head_args.size()) +
+                                  " for derived predicate '" +
+                                  task.plan->head_pred + "'");
         }
+        Relation& full = full_it->second;
         Relation* fresh = nullptr;
-        auto commit_tuple = [&](const Tuple& t) {
-          if (!full.Insert(t)) return;
+        auto commit_tuple = [&](TupleView t, uint32_t hash) {
+          if (!full.InsertHashed(t, hash)) return;
           ++inserted;
           *any_new = true;
           if (next_delta != nullptr) {
             if (fresh == nullptr) {
               fresh = &next_delta->try_emplace(task.plan->head_pred,
-                                               Relation(type))
+                                               Relation(full.type()))
                            .first->second;
             }
-            fresh->Insert(t);
+            fresh->InsertDistinct(t, hash);
           }
           if (ctx.governor != nullptr && commit_status.ok()) {
             commit_status = ctx.governor->OnDerived(
@@ -283,7 +282,8 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
               }
             }
             if (best == task.parts.size()) break;
-            commit_tuple(task.parts[best].staged.tuples()[cur[best]++]);
+            const TupleView t = task.parts[best].staged[cur[best]++];
+            commit_tuple(t, HashRow(t.data(), t.size()));
           }
           // One breadcrumb per K-way partition merge: which head, how
           // wide the fan-out, how many commits survived dedup.
@@ -293,8 +293,20 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                                  static_cast<int64_t>(inserted),
                                  static_cast<int64_t>(round));
         } else {
-          for (const Tuple& t : task.parts[0].staged.tuples()) {
-            commit_tuple(t);
+          // Hash every staged row first, then probe with the membership
+          // slot of a row a few positions ahead already in flight: the
+          // probes are independent, so their cache misses overlap.
+          const RowBuffer& staged = task.parts[0].staged;
+          std::vector<uint32_t> hashes(staged.size());
+          for (size_t i = 0; i < staged.size(); ++i) {
+            hashes[i] = HashRow(staged[i].data(), staged.arity());
+          }
+          constexpr size_t kPrefetchDistance = 8;
+          for (size_t i = 0; i < staged.size(); ++i) {
+            if (i + kPrefetchDistance < staged.size()) {
+              full.PrefetchSlot(hashes[i + kPrefetchDistance]);
+            }
+            commit_tuple(staged[i], hashes[i]);
           }
         }
       }

@@ -75,7 +75,6 @@ void RunPart(const EvalContext& base_ctx, const RoundTask& task,
   EvalContext ctx = base_ctx;
   ctx.stats = &part->stats;
   ctx.parallel_worker = pooled;
-  ctx.defer_inserts = true;
   // Observability attribution happens in the driver's deterministic
   // merge; parts only measure. Per-step counters go to the part's
   // private buffer, never the shared PlanAnalysis.

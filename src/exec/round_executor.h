@@ -21,9 +21,12 @@ class ThreadPool;
 /// have exactly one part covering the whole delta.
 struct RoundPart {
   int partition = 0;            ///< Partition index in [0, partitions).
-  Relation staged;              ///< Private output; typed by the driver.
+  RowBuffer staged;             ///< Private append-only output (every
+                                ///< derived row, duplicates included);
+                                ///< sized to the head arity by the
+                                ///< driver, deduplicated at Commit.
   std::vector<uint64_t> staged_order;
-                                ///< Delta-row ordinal per staged tuple
+                                ///< Delta-row ordinal per staged row
                                 ///< (partitioned tasks only): the merge
                                 ///< key that restores serial emission
                                 ///< order across partitions at Commit.
@@ -71,7 +74,7 @@ struct RoundTask {
 };
 
 /// Evaluates every part of every task, each into its private `staged`
-/// relation with private `stats`, and returns when all have finished.
+/// row buffer with private `stats`, and returns when all have finished.
 ///
 /// With a pool (and more than one part), parts run concurrently: the
 /// executor pre-builds (serially, via `base_ctx.index_caches`) every
@@ -80,8 +83,7 @@ struct RoundTask {
 /// lookup-only (IndexCache::FindFresh). Without a pool — or with a
 /// single part — parts run sequentially on the calling thread with the
 /// ordinary lazy mutable index builds, so a serial run keeps its
-/// physical index counters. Both modes run with
-/// `EvalContext::defer_inserts`: staged-insert accounting
+/// physical index counters. In both modes insert accounting
 /// (facts_inserted, emit rows_emitted, governor OnDerived charges,
 /// provenance byte charges) is the driver's job at Commit, where "new"
 /// is judged against the full relation — the definition that is

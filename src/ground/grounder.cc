@@ -77,7 +77,7 @@ Result<GroundProgram> GroundDisjunctive(const DisjunctiveProgram& program,
   std::set<int64_t> numbers;
   for (const std::string& name : database.relation_names()) {
     const Relation* rel = *database.Get(name);
-    for (const Tuple& t : rel->tuples()) {
+    for (TupleView t : rel->tuples()) {
       for (const Value& v : t) {
         if (v.is_number()) numbers.insert(v.number());
       }
@@ -110,7 +110,7 @@ Result<GroundProgram> GroundDisjunctive(const DisjunctiveProgram& program,
   GroundProgram out;
   for (const std::string& name : database.relation_names()) {
     const Relation* rel = *database.Get(name);
-    for (const Tuple& t : rel->tuples()) {
+    for (TupleView t : rel->tuples()) {
       GroundAtom atom{name, t};
       out.base.insert(atom);
       // EDB tuples become disjunction-free facts.

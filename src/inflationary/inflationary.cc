@@ -20,7 +20,7 @@ State InitialState(const Database& database) {
   for (const std::string& name : database.relation_names()) {
     const Relation* rel = *database.Get(name);
     auto& bucket = state[name];
-    for (const Tuple& t : rel->tuples()) bucket.insert(t);
+    for (TupleView t : rel->tuples()) bucket.insert(t);
   }
   return state;
 }

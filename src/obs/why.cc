@@ -238,7 +238,7 @@ class RuleWalker {
   /// Binds the step's sources against `row`; on mismatch restores any
   /// tentative bindings and returns false. On success the caller owns
   /// undoing `*undo`.
-  bool MatchRow(const PlanStep& step, const Tuple& row, Undo* undo) {
+  bool MatchRow(const PlanStep& step, TupleView row, Undo* undo) {
     if (row.size() != step.sources.size()) return false;
     for (size_t pos = 0; pos < step.sources.size(); ++pos) {
       const ArgSource& src = step.sources[pos];
@@ -274,7 +274,7 @@ class RuleWalker {
     const Relation* rel = Resolve(step);
     bool any = false;
     if (rel != nullptr) {
-      for (const Tuple& row : rel->tuples()) {
+      for (TupleView row : rel->tuples()) {
         Undo undo;
         if (!MatchRow(step, row, &undo)) continue;
         any = true;
@@ -290,7 +290,7 @@ class RuleWalker {
     const Relation* rel = Resolve(step);
     bool present = false;
     if (rel != nullptr) {
-      for (const Tuple& row : rel->tuples()) {
+      for (TupleView row : rel->tuples()) {
         Undo undo;
         if (MatchRow(step, row, &undo)) {
           Rollback(&undo);
@@ -423,7 +423,7 @@ class RuleWalker {
       // base tuple is in the group — just under a different tid than
       // required.
       if (rel != nullptr) {
-        for (const Tuple& row : rel->tuples()) {
+        for (TupleView row : rel->tuples()) {
           if (row.size() != n) continue;
           bool base_match = true;
           for (size_t pos = 0; pos + 1 < n && base_match; ++pos) {
@@ -444,7 +444,7 @@ class RuleWalker {
         const Relation* base =
             ctx_.full ? ctx_.full(step.predicate) : nullptr;
         if (base != nullptr) {
-          for (const Tuple& row : base->tuples()) {
+          for (TupleView row : base->tuples()) {
             if (row.size() + 1 != n) continue;
             bool base_match = true;
             for (size_t pos = 0; pos + 1 < n && base_match; ++pos) {

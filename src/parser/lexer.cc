@@ -1,6 +1,7 @@
 #include "parser/lexer.h"
 
 #include <cctype>
+#include <cstdint>
 
 namespace idlog {
 
@@ -55,7 +56,12 @@ Result<std::vector<Token>> Tokenize(std::string_view text) {
       size_t j = i;
       int64_t v = 0;
       while (j < n && std::isdigit(static_cast<unsigned char>(text[j]))) {
-        v = v * 10 + (text[j] - '0');
+        const int digit = text[j] - '0';
+        // Numbers are naturals packed into 63 bits (see Value).
+        if (v > (INT64_MAX - digit) / 10) {
+          return error("integer literal overflows 63-bit range");
+        }
+        v = v * 10 + digit;
         ++j;
       }
       push(TokenKind::kNumber, std::string(text.substr(i, j - i)), v);

@@ -1,8 +1,10 @@
 #ifndef IDLOG_STORAGE_DATABASE_H_
 #define IDLOG_STORAGE_DATABASE_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,69 @@
 #include "storage/relation.h"
 
 namespace idlog {
+
+/// A set of symbol ids kept as a dense bitmap — ids are interned
+/// densely from 0 — iterated in ascending id order.
+class SymbolSet {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = SymbolId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = SymbolId;
+
+    iterator(const std::vector<uint64_t>* words, size_t bit)
+        : words_(words), bit_(bit) {
+      Settle();
+    }
+    SymbolId operator*() const { return static_cast<SymbolId>(bit_); }
+    iterator& operator++() {
+      ++bit_;
+      Settle();
+      return *this;
+    }
+    bool operator==(const iterator& o) const { return bit_ == o.bit_; }
+    bool operator!=(const iterator& o) const { return bit_ != o.bit_; }
+
+   private:
+    /// Advances to the first set bit at or after bit_ (or the end).
+    void Settle() {
+      const size_t end = words_->size() * 64;
+      while (bit_ < end) {
+        const uint64_t rest = (*words_)[bit_ / 64] >> (bit_ % 64);
+        if (rest != 0) {
+          bit_ += static_cast<size_t>(__builtin_ctzll(rest));
+          return;
+        }
+        bit_ = (bit_ / 64 + 1) * 64;
+      }
+      bit_ = end;
+    }
+
+    const std::vector<uint64_t>* words_;
+    size_t bit_;
+  };
+
+  /// Adds `id`; true if it was new.
+  bool insert(SymbolId id) {
+    const size_t word = id / 64;
+    if (word >= words_.size()) words_.resize(word + 1, 0);
+    const uint64_t bit = uint64_t{1} << (id % 64);
+    if ((words_[word] & bit) != 0) return false;
+    words_[word] |= bit;
+    ++size_;
+    return true;
+  }
+  size_t size() const { return size_; }
+  iterator begin() const { return iterator(&words_, 0); }
+  iterator end() const { return iterator(&words_, words_.size() * 64); }
+
+ private:
+  std::vector<uint64_t> words_;
+  size_t size_ = 0;
+};
 
 /// An extensional database: named typed relations over a shared symbol
 /// table, plus the explicit uninterpreted domain D of Section 2.1.
@@ -58,8 +123,8 @@ class Database {
   /// Registers an extra u-domain constant not present in any tuple.
   void AddDomainConstant(SymbolId id) { u_domain_.insert(id); }
 
-  /// The u-domain as a sorted set of symbol ids.
-  const std::set<SymbolId>& u_domain() const { return u_domain_; }
+  /// The u-domain as a set of symbol ids, iterated in id order.
+  const SymbolSet& u_domain() const { return u_domain_; }
 
   /// Relation names in creation order.
   const std::vector<std::string>& relation_names() const { return names_; }
@@ -68,7 +133,7 @@ class Database {
   SymbolTable* symbols_;
   std::map<std::string, Relation> relations_;
   std::vector<std::string> names_;
-  std::set<SymbolId> u_domain_;
+  SymbolSet u_domain_;
 };
 
 }  // namespace idlog

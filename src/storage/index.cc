@@ -35,15 +35,67 @@ ColumnIndex::ColumnIndex(const Relation* relation, std::vector<int> cols)
 }
 
 void ColumnIndex::Build() {
-  buckets_.clear();
-  const auto& rows = relation_->tuples();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    buckets_[ProjectTuple(rows[i], cols_)].push_back(i);
-  }
-  built_version_ = relation_->version();
+  keys_.assign(kMinKeySlots, KeySlot{0, 0, 0, 0});
+  num_keys_ = 0;
+  next_.clear();
+  AddRows();
   built_uid_ = relation_->uid();
   built_clear_generation_ = relation_->clear_generation();
-  built_rows_ = rows.size();
+}
+
+bool ColumnIndex::KeyMatches(const KeySlot& slot, TupleView key) const {
+  const TupleView row = relation_->row(slot.first - 1);
+  for (size_t k = 0; k < cols_.size(); ++k) {
+    if (row[static_cast<size_t>(cols_[k])] != key[k]) return false;
+  }
+  return true;
+}
+
+void ColumnIndex::GrowKeys() {
+  std::vector<KeySlot> old = std::move(keys_);
+  keys_.assign(old.size() * 2, KeySlot{0, 0, 0, 0});
+  const size_t mask = keys_.size() - 1;
+  for (const KeySlot& slot : old) {
+    if (slot.first == 0) continue;
+    size_t i = slot.hash & mask;
+    while (keys_[i].first != 0) i = (i + 1) & mask;
+    keys_[i] = slot;
+  }
+}
+
+void ColumnIndex::AddRows() {
+  const size_t n = relation_->size();
+  const size_t ncols = cols_.size();
+  Tuple key(ncols);
+  for (size_t r = next_.size(); r < n; ++r) {
+    const TupleView row = relation_->row(r);
+    RowHasher hasher;
+    for (size_t k = 0; k < ncols; ++k) {
+      key[k] = row[static_cast<size_t>(cols_[k])];
+      hasher.Add(key[k]);
+    }
+    const uint32_t hash = hasher.Finish();
+    const uint32_t posting = static_cast<uint32_t>(r + 1);
+    next_.push_back(0);
+    const size_t mask = keys_.size() - 1;
+    size_t i = hash & mask;
+    bool appended = false;
+    for (; keys_[i].first != 0; i = (i + 1) & mask) {
+      KeySlot& slot = keys_[i];
+      if (slot.hash == hash && KeyMatches(slot, key)) {
+        next_[slot.last - 1] = posting;  // extend the key's chain
+        slot.last = posting;
+        ++slot.count;
+        appended = true;
+        break;
+      }
+    }
+    if (appended) continue;
+    keys_[i] = KeySlot{hash, posting, posting, 1};
+    ++num_keys_;
+    if (num_keys_ * 2 > keys_.size()) GrowKeys();
+  }
+  built_version_ = relation_->version();
 }
 
 bool ColumnIndex::fresh() const {
@@ -56,25 +108,26 @@ void ColumnIndex::Refresh() {
   // Within one identity (uid) and clear generation, relations only
   // grow; extend incrementally then. A Clear() keeps the uid and may be
   // followed by regrowth past the old row count, so the generation
-  // check is what forces the rebuild that drops the stale buckets.
-  const auto& rows = relation_->tuples();
+  // check is what forces the rebuild that drops the stale postings.
   if (built_uid_ == relation_->uid() &&
       built_clear_generation_ == relation_->clear_generation() &&
-      rows.size() >= built_rows_) {
-    for (size_t i = built_rows_; i < rows.size(); ++i) {
-      buckets_[ProjectTuple(rows[i], cols_)].push_back(i);
-    }
-    built_rows_ = rows.size();
-    built_version_ = relation_->version();
+      relation_->size() >= next_.size()) {
+    AddRows();
   } else {
     Build();
   }
 }
 
-const std::vector<size_t>* ColumnIndex::Lookup(const Tuple& key) const {
-  auto it = buckets_.find(key);
-  if (it == buckets_.end()) return nullptr;
-  return &it->second;
+PostingList ColumnIndex::Lookup(TupleView key) const {
+  const uint32_t hash = HashRow(key.data(), key.size());
+  const size_t mask = keys_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const KeySlot& slot = keys_[i];
+    if (slot.first == 0) return PostingList();
+    if (slot.hash == hash && KeyMatches(slot, key)) {
+      return PostingList(next_.data(), slot.first, slot.count);
+    }
+  }
 }
 
 const ColumnIndex& IndexCache::Get(const std::vector<int>& cols,

@@ -1,9 +1,10 @@
 #ifndef IDLOG_STORAGE_RELATION_H_
 #define IDLOG_STORAGE_RELATION_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <unordered_map>
+#include <iterator>
 #include <vector>
 
 #include "common/status.h"
@@ -11,7 +12,116 @@
 
 namespace idlog {
 
+/// Random-access range of fixed-arity rows laid out back to back in one
+/// value array; iterating yields TupleViews. Invalidated, like the views
+/// it hands out, when the underlying storage grows or shrinks.
+class RowRange {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = TupleView;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = TupleView;
+
+    iterator(const Value* base, size_t arity, size_t row)
+        : base_(base), arity_(arity), row_(row) {}
+    TupleView operator*() const {
+      return TupleView(base_ + row_ * arity_, arity_);
+    }
+    iterator& operator++() {
+      ++row_;
+      return *this;
+    }
+    bool operator==(const iterator& o) const { return row_ == o.row_; }
+    bool operator!=(const iterator& o) const { return row_ != o.row_; }
+
+   private:
+    const Value* base_;
+    size_t arity_;
+    size_t row_;  // Rows, not pointers: arity-0 rows occupy no values.
+  };
+
+  RowRange(const Value* base, size_t arity, size_t rows)
+      : base_(base), arity_(arity), rows_(rows) {}
+
+  size_t size() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
+  TupleView operator[](size_t i) const {
+    return TupleView(base_ + i * arity_, arity_);
+  }
+  iterator begin() const { return iterator(base_, arity_, 0); }
+  iterator end() const { return iterator(base_, arity_, rows_); }
+
+ private:
+  const Value* base_;
+  size_t arity_;
+  size_t rows_;
+};
+
+/// Append-only, arity-strided rows with no membership structure: the
+/// staging buffer a round task emits derived facts into. Duplicates are
+/// kept; dedup happens once, when the driver commits the rows into the
+/// full Relation.
+class RowBuffer {
+ public:
+  explicit RowBuffer(size_t arity = 0) : arity_(arity) {}
+
+  /// Appends one row and returns its `arity()` values for the caller to
+  /// fill in place.
+  Value* AppendRow() {
+    values_.resize(values_.size() + arity_);
+    ++rows_;
+    return values_.data() + values_.size() - arity_;
+  }
+  /// Appends a copy of `t` (whose size must equal arity()).
+  void Append(TupleView t) {
+    values_.insert(values_.end(), t.begin(), t.end());
+    ++rows_;
+  }
+
+  size_t arity() const { return arity_; }
+  size_t size() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
+  TupleView operator[](size_t i) const {
+    return TupleView(values_.data() + i * arity_, arity_);
+  }
+  RowRange rows() const { return RowRange(values_.data(), arity_, rows_); }
+
+  /// Overwrites row `dst` with a copy of row `src`.
+  void CopyRow(size_t src, size_t dst) {
+    std::copy(values_.begin() + static_cast<ptrdiff_t>(src * arity_),
+              values_.begin() + static_cast<ptrdiff_t>((src + 1) * arity_),
+              values_.begin() + static_cast<ptrdiff_t>(dst * arity_));
+  }
+  void PopBack() {
+    values_.resize(values_.size() - arity_);
+    --rows_;
+  }
+  void Clear() {
+    values_.clear();
+    rows_ = 0;
+  }
+  void Reserve(size_t rows) { values_.reserve(rows * arity_); }
+  /// Heap bytes held by the value array.
+  size_t capacity_bytes() const { return values_.capacity() * sizeof(Value); }
+
+ private:
+  size_t arity_;
+  size_t rows_ = 0;
+  std::vector<Value> values_;
+};
+
 /// A finite, typed, duplicate-free set of tuples.
+///
+/// Storage is flat: the rows live back to back in one arity-strided
+/// value array (a RowBuffer), and membership is an open-addressing
+/// (linear probing) table of row indices that compares probes against
+/// those rows, so each tuple is stored exactly once and needs no heap
+/// allocation of its own. A table slot packs the low 32 bits of the
+/// row hash (the probe filter and the home position) with the row
+/// index + 1 (0 marks an empty slot); the table doubles at load 1/2.
 ///
 /// Iteration order is insertion order (with Erase moving the last row
 /// into the vacated slot), which makes runs repeatable: the same
@@ -23,15 +133,16 @@ class Relation {
  public:
   Relation() : uid_(NextUid()) {}
   explicit Relation(RelationType type)
-      : type_(std::move(type)), uid_(NextUid()) {}
+      : type_(std::move(type)), rows_(type_.size()), uid_(NextUid()) {}
 
   Relation(const Relation& o)
-      : type_(o.type_), rows_(o.rows_), set_(o.set_), version_(o.version_),
-        uid_(NextUid()), clear_generation_(o.clear_generation_) {}
+      : type_(o.type_), rows_(o.rows_), slots_(o.slots_),
+        version_(o.version_), uid_(NextUid()),
+        clear_generation_(o.clear_generation_) {}
   Relation& operator=(const Relation& o) {
     type_ = o.type_;
     rows_ = o.rows_;
-    set_ = o.set_;
+    slots_ = o.slots_;
     version_ = o.version_;
     uid_ = NextUid();  // contents replaced wholesale: new identity
     clear_generation_ = o.clear_generation_;
@@ -39,33 +150,69 @@ class Relation {
   }
   Relation(Relation&& o) noexcept
       : type_(std::move(o.type_)), rows_(std::move(o.rows_)),
-        set_(std::move(o.set_)), version_(o.version_), uid_(NextUid()),
-        clear_generation_(o.clear_generation_) {}
+        slots_(std::move(o.slots_)), version_(o.version_), uid_(NextUid()),
+        clear_generation_(o.clear_generation_) {
+    o.Reset();
+  }
   Relation& operator=(Relation&& o) noexcept {
     type_ = std::move(o.type_);
     rows_ = std::move(o.rows_);
-    set_ = std::move(o.set_);
+    slots_ = std::move(o.slots_);
     version_ = o.version_;
     uid_ = NextUid();
     clear_generation_ = o.clear_generation_;
+    o.Reset();
     return *this;
   }
 
   /// Inserts `t`; returns true if the tuple was new. The tuple arity
-  /// must match the relation type (checked; mismatches are dropped and
-  /// reported via last_error()).
-  bool Insert(Tuple t);
+  /// must match the relation type (mismatches are rejected with false).
+  bool Insert(TupleView t) {
+    if (t.size() != rows_.arity()) return false;
+    return InsertHashed(t, HashRow(t.data(), t.size()));
+  }
+
+  /// Owned-tuple form, so braced lists work: `rel.Insert({a, b})`.
+  bool Insert(const Tuple& t) { return Insert(TupleView(t)); }
+
+  /// Insert with the row hash (HashRow over `t`) already computed —
+  /// the commit path hashes a staged row once and reuses the hash for
+  /// the next delta. `t.size()` must equal arity().
+  bool InsertHashed(TupleView t, uint32_t hash);
+
+  /// Hints the cache to load the membership slot a probe with `hash`
+  /// starts at (no effect on contents).
+  void PrefetchSlot(uint32_t hash) const {
+    if (!slots_.empty()) {
+      __builtin_prefetch(slots_.data() + (hash & (slots_.size() - 1)));
+    }
+  }
+
+  /// Appends `t`, known to be absent (e.g. it was just found new in a
+  /// relation this one is a subset of), without comparing it against
+  /// any stored row. `hash` is HashRow over `t`.
+  void InsertDistinct(TupleView t, uint32_t hash);
 
   /// Inserts with sort checking against the relation type.
-  Status InsertChecked(Tuple t);
+  Status InsertChecked(TupleView t);
+  Status InsertChecked(const Tuple& t) { return InsertChecked(TupleView(t)); }
 
-  bool Contains(const Tuple& t) const { return set_.count(t) > 0; }
+  bool Contains(TupleView t) const { return Find(t) != npos; }
+
+  /// Row index of `t`, or npos when absent.
+  static constexpr size_t npos = ~size_t{0};
+  size_t Find(TupleView t) const {
+    if (t.size() != rows_.arity()) return npos;
+    const size_t slot = FindSlot(t, HashRow(t.data(), t.size()));
+    return slot == npos ? npos : SlotRow(slots_[slot]);
+  }
 
   size_t size() const { return rows_.size(); }
   bool empty() const { return rows_.empty(); }
 
-  /// Tuples in insertion order.
-  const std::vector<Tuple>& tuples() const { return rows_; }
+  /// Tuples in insertion order, as views into the flat row array.
+  RowRange tuples() const { return rows_.rows(); }
+  TupleView row(size_t i) const { return rows_[i]; }
 
   const RelationType& type() const { return type_; }
   int arity() const { return static_cast<int>(type_.size()); }
@@ -91,10 +238,13 @@ class Relation {
   /// breaks the "rows only grow within a generation" contract that
   /// incremental index refresh relies on, so indexes built earlier must
   /// rebuild from scratch.
-  bool Erase(const Tuple& t);
+  bool Erase(TupleView t);
 
   /// Removes all tuples.
   void Clear();
+
+  /// Pre-sizes the row array and the membership table for `rows` rows.
+  void Reserve(size_t rows);
 
   /// Overwrites the change counters. Snapshot decode only: a relation
   /// rebuilt from its serialized rows must report the same logical
@@ -112,21 +262,54 @@ class Relation {
   /// Set equality regardless of insertion order.
   bool SetEquals(const Relation& other) const;
 
+  /// Heap bytes actually held (row array plus membership table) —
+  /// tests compare ApproxTupleBytes against it.
+  size_t heap_bytes() const {
+    return rows_.capacity_bytes() + slots_.capacity() * sizeof(uint64_t);
+  }
+
  private:
+  /// Row indices are 32-bit in the membership table.
+  static constexpr size_t kMaxRows = (size_t{1} << 31) - 1;
+  static constexpr size_t kMinSlots = 8;
+
   static uint64_t NextUid();
+  static uint64_t PackSlot(uint32_t hash, size_t row) {
+    return (uint64_t{hash} << 32) | static_cast<uint64_t>(row + 1);
+  }
+  static size_t SlotRow(uint64_t slot) {
+    return static_cast<size_t>(static_cast<uint32_t>(slot)) - 1;
+  }
+  static uint32_t SlotHash(uint64_t slot) {
+    return static_cast<uint32_t>(slot >> 32);
+  }
+
+  /// Slot index holding `t`, or npos.
+  size_t FindSlot(TupleView t, uint32_t hash) const;
+  /// Grows the table (if needed) so one more row keeps load <= 1/2.
+  void ReserveSlot();
+  /// Rebuilds the table at `capacity` slots from the stored hashes.
+  void Rehash(size_t capacity);
+  /// Empties slot `i`, shifting later entries of its probe run back
+  /// (no tombstones).
+  void DeleteSlot(size_t i);
+  void Reset() {
+    type_.clear();
+    rows_ = RowBuffer();
+    slots_.clear();
+  }
 
   RelationType type_;
-  std::vector<Tuple> rows_;
-  /// Membership plus each tuple's index in rows_, so Erase need not
-  /// scan the row vector.
-  std::unordered_map<Tuple, size_t, TupleHash> set_;
+  RowBuffer rows_;
+  /// Open-addressing membership table; size 0 or a power of two.
+  std::vector<uint64_t> slots_;
   uint64_t version_ = 0;
   uint64_t uid_ = 0;
   uint64_t clear_generation_ = 0;
 };
 
 /// Projects `t` onto `cols` (0-based), preserving the column order given.
-Tuple ProjectTuple(const Tuple& t, const std::vector<int>& cols);
+Tuple ProjectTuple(TupleView t, const std::vector<int>& cols);
 
 }  // namespace idlog
 

@@ -67,7 +67,7 @@ void PutStr(std::string* out, const std::string& s) {
   out->append(s);
 }
 
-void PutTuple(std::string* out, const Tuple& t) {
+void PutTuple(std::string* out, TupleView t) {
   for (const Value& v : t) {
     PutU8(out, static_cast<uint8_t>(v.sort()));
     PutU64(out, v.is_symbol() ? static_cast<uint64_t>(v.symbol())
@@ -82,7 +82,7 @@ void PutRelation(std::string* out, const Relation& rel) {
   // Insertion order, deliberately: canonical tid assignment and index
   // bucket order both follow it, so a resumed run must reproduce it.
   PutU64(out, rel.size());
-  for (const Tuple& t : rel.tuples()) PutTuple(out, t);
+  for (TupleView t : rel.tuples()) PutTuple(out, t);
   // Logical change counters: db-stats reports them, so a recovered run
   // must see the same values an uninterrupted one would.
   PutU64(out, rel.version());
@@ -186,6 +186,17 @@ struct Reader {
   }
 };
 
+/// Sort-i payloads are naturals packed into 63 bits (see Value); a
+/// larger one would wrap into a different number.
+Status CheckNumberPayload(const Reader& r, uint64_t payload) {
+  if (payload > static_cast<uint64_t>(Value::kMaxNumber)) {
+    return Status::InvalidArgument(
+        "snapshot corrupt: section " + r.where + " holds integer payload " +
+        std::to_string(payload) + " beyond the 63-bit value range");
+  }
+  return Status::OK();
+}
+
 Status ReadStats(Reader* r, EvalStats* s) {
   IDLOG_RETURN_NOT_OK(r->U64(&s->tuples_considered));
   IDLOG_RETURN_NOT_OK(r->U64(&s->facts_derived));
@@ -246,6 +257,7 @@ Status ReadRelation(Reader* r, size_t num_symbols, bool with_counters,
         }
         t.push_back(Value::Symbol(static_cast<SymbolId>(payload)));
       } else {
+        IDLOG_RETURN_NOT_OK(CheckNumberPayload(*r, payload));
         t.push_back(Value::Number(static_cast<int64_t>(payload)));
       }
     }
@@ -298,6 +310,7 @@ Status ReadValues(Reader* r, size_t num_symbols, uint32_t count,
       }
       out->push_back(Value::Symbol(static_cast<SymbolId>(payload)));
     } else {
+      IDLOG_RETURN_NOT_OK(CheckNumberPayload(*r, payload));
       out->push_back(Value::Number(static_cast<int64_t>(payload)));
     }
   }
@@ -326,7 +339,7 @@ Status CheckInvariants(const SnapshotData& snap) {
           "snapshot fails invariant: delta relation '" + pred +
           "' has no derived relation");
     }
-    for (const Tuple& t : delta_rel.tuples()) {
+    for (TupleView t : delta_rel.tuples()) {
       if (!it->second.Contains(t)) {
         return Status::InvalidArgument(
             "snapshot fails invariant: delta tuple of '" + pred +
@@ -358,9 +371,8 @@ Status CheckInvariants(const SnapshotData& snap) {
           "' has arity " + std::to_string(id_rel.arity()) +
           ", base has " + std::to_string(base->arity()));
     }
-    for (const Tuple& t : id_rel.tuples()) {
-      Tuple projected(t.begin(), t.end() - 1);
-      if (!base->Contains(projected)) {
+    for (TupleView t : id_rel.tuples()) {
+      if (!base->Contains(TupleView(t.data(), t.size() - 1))) {
         return Status::InvalidArgument(
             "snapshot fails invariant: ID-relation tuple of '" + pred +
             "' projects to a tuple outside its base relation");

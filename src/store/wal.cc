@@ -107,54 +107,63 @@ struct PayloadReader {
   bool AtEnd() const { return pos == size; }
 };
 
-/// Decodes one record payload; false on any malformation (truncated
-/// field, unknown type or value tag, trailing bytes).
-bool DecodePayload(WalRecordType type, const char* payload, size_t len,
-                   WalRecord* out) {
+/// How a CRC-valid record payload decoded.
+enum class Decoded {
+  kOk,
+  kMalformed,    ///< Truncated field, unknown tag, trailing bytes.
+  kOutOfRange,   ///< An integer value beyond 2^63 - 1 (not a natural).
+};
+
+/// Decodes one record payload.
+Decoded DecodePayload(WalRecordType type, const char* payload, size_t len,
+                      WalRecord* out) {
   PayloadReader r{payload, len};
   out->type = type;
   switch (type) {
     case WalRecordType::kBegin:
     case WalRecordType::kCommit:
-      if (!r.U64(&out->txn_id)) return false;
+      if (!r.U64(&out->txn_id)) return Decoded::kMalformed;
       break;
     case WalRecordType::kInsert:
     case WalRecordType::kRetract: {
-      if (!r.Str(&out->pred)) return false;
+      if (!r.Str(&out->pred)) return Decoded::kMalformed;
       uint32_t arity = 0;
-      if (!r.U32(&arity)) return false;
+      if (!r.U32(&arity)) return Decoded::kMalformed;
       // Every value occupies at least two payload bytes (tag + body),
       // so an arity larger than the remaining bytes could encode is a
       // lie — reject it *before* reserving, or a crafted CRC-valid
       // frame could force a multi-GB allocation instead of reading as
       // a torn tail.
-      if (arity > (r.size - r.pos) / 2) return false;
+      if (arity > (r.size - r.pos) / 2) return Decoded::kMalformed;
       out->values.reserve(arity);
       for (uint32_t i = 0; i < arity; ++i) {
         uint8_t tag = 0;
-        if (!r.U8(&tag)) return false;
+        if (!r.U8(&tag)) return Decoded::kMalformed;
         if (tag == 0) {
           uint64_t n = 0;
-          if (!r.U64(&n)) return false;
+          if (!r.U64(&n)) return Decoded::kMalformed;
+          if (n > static_cast<uint64_t>(INT64_MAX)) {
+            return Decoded::kOutOfRange;
+          }
           out->values.push_back(WalValue::Number(static_cast<int64_t>(n)));
         } else if (tag == 1) {
           std::string name;
-          if (!r.Str(&name)) return false;
+          if (!r.Str(&name)) return Decoded::kMalformed;
           out->values.push_back(WalValue::Symbol(std::move(name)));
         } else {
-          return false;
+          return Decoded::kMalformed;
         }
       }
       break;
     }
     case WalRecordType::kCheckpointRef:
-      if (!r.U64(&out->covered_offset)) return false;
-      if (!r.Str(&out->snapshot_path)) return false;
+      if (!r.U64(&out->covered_offset)) return Decoded::kMalformed;
+      if (!r.Str(&out->snapshot_path)) return Decoded::kMalformed;
       break;
     default:
-      return false;
+      return Decoded::kMalformed;
   }
-  return r.AtEnd();
+  return r.AtEnd() ? Decoded::kOk : Decoded::kMalformed;
 }
 
 std::string EncodePayload(const WalRecord& record) {
@@ -290,8 +299,16 @@ Result<WalScanResult> ScanWal(const std::string& path) {
     WalRecord record;
     record.offset = pos;
     uint8_t type = static_cast<uint8_t>(body[0]);
-    if (!DecodePayload(static_cast<WalRecordType>(type), body.data() + 1,
-                       len - 1, &record)) {
+    const Decoded decoded = DecodePayload(static_cast<WalRecordType>(type),
+                                          body.data() + 1, len - 1, &record);
+    if (decoded == Decoded::kOutOfRange) {
+      // Values are naturals packed into 63 bits; wrapping this one
+      // would silently replay a different tuple.
+      return Status::InvalidArgument(
+          "'" + path + "' WAL record at offset " + std::to_string(pos) +
+          " carries an integer beyond the 63-bit value range");
+    }
+    if (decoded != Decoded::kOk) {
       torn = true;
       break;
     }

@@ -58,7 +58,9 @@ TEST(BuiltinHolds, Arithmetic) {
   EXPECT_FALSE(BuiltinHolds(BuiltinKind::kSucc, {n(5), n(5)}));
   EXPECT_TRUE(BuiltinHolds(BuiltinKind::kAdd, {n(2), n(3), n(5)}));
   EXPECT_TRUE(BuiltinHolds(BuiltinKind::kSub, {n(5), n(3), n(2)}));
-  EXPECT_FALSE(BuiltinHolds(BuiltinKind::kSub, {n(3), n(5), n(-2)}));
+  // 3 - 5 has no natural result; -2 is not a value at all (numbers are
+  // naturals), so the absolute difference is the candidate to reject.
+  EXPECT_FALSE(BuiltinHolds(BuiltinKind::kSub, {n(3), n(5), n(2)}));
   EXPECT_TRUE(BuiltinHolds(BuiltinKind::kMul, {n(3), n(4), n(12)}));
   EXPECT_TRUE(BuiltinHolds(BuiltinKind::kDiv, {n(7), n(2), n(3)}));
   EXPECT_FALSE(BuiltinHolds(BuiltinKind::kDiv, {n(7), n(0), n(0)}));

@@ -318,15 +318,15 @@ TEST_F(FlightRecorderTest, GovernorMemoryMilestones) {
                                      "p(X, Z) :- p(X, Y), e(Y, Z).")
                   .ok());
   ASSERT_TRUE(engine.Run().ok());
-  // 121 nodes -> ~7260 path tuples * 80 bytes ~ 580 KiB: below the
-  // first milestone. Widen the graph if this ever crosses; the point
+  // 121 nodes -> 7260 path tuples * ApproxTupleBytes(2) = 32 bytes
+  // ~ 227 KiB: below the first milestone. Widen the graph if this ever crosses; the point
   // here is the *absence* of spurious milestones on small runs.
   std::string json = FlightRecorder::Instance().ToJson();
   EXPECT_EQ(CountKind(json, "governor-memory"), 0u);
 
   FlightRecorder::Instance().Arm(1024);
   IdlogEngine big;
-  for (int i = 0; i < 260; ++i) {
+  for (int i = 0; i < 400; ++i) {
     ASSERT_TRUE(big.AddRow("e", {"n" + std::to_string(i),
                                  "n" + std::to_string(i + 1)})
                     .ok());
@@ -335,7 +335,7 @@ TEST_F(FlightRecorderTest, GovernorMemoryMilestones) {
                                   "p(X, Z) :- p(X, Y), e(Y, Z).")
                   .ok());
   ASSERT_TRUE(big.Run().ok());
-  // ~33930 tuples * 80 bytes ~ 2.7 MiB of charges: crosses 1 MiB and
+  // 80200 tuples * 32 bytes ~ 2.4 MiB of charges: crosses 1 MiB and
   // 2 MiB exactly once each.
   json = FlightRecorder::Instance().ToJson();
   EXPECT_EQ(CountKind(json, "governor-memory"), 2u) << json;

@@ -14,6 +14,7 @@
 
 #include "common/failpoint.h"
 #include "core/idlog_engine.h"
+#include "storage/csv.h"
 #include "store/wal.h"
 #include "test_util.h"
 
@@ -365,6 +366,87 @@ TEST(Session, ApplyFailureAfterDurableCommitPoisonsTheSession) {
   EXPECT_EQ(fresh.wal_commits(), 1u);
   EXPECT_NE(QueryDump(&fresh, "path").find("x, y"),
             std::string::npos);
+}
+
+// Regression: with no .decl, nothing in the closure rules constrains
+// a column sort, so inference typed e and tc as "uu" while the CSV rows
+// are integers. The base snapshot then held sort-i tuples under a sort-u
+// type and recovery refused it ("section DERIVED tuple sort disagrees
+// with type"). Stored relations now seed inference.
+TEST(Session, UndeclaredIntegerEdbRecovers) {
+  ScratchDir scratch("int_edb");
+  const std::string wal_path = scratch.Path("s.wal");
+  const char* program =
+      "tc(X, Y) :- e(X, Y).\n"
+      "tc(X, Z) :- tc(X, Y), e(Y, Z).\n";
+  std::string live;
+  {
+    IdlogEngine engine;
+    ASSERT_TRUE(LoadCsvRelationFromString(&engine.database(), "e",
+                                          "1,2\n2,3\n3,1\n")
+                    .ok());
+    ASSERT_TRUE(engine.LoadProgramText(program).ok());
+    ASSERT_TRUE(engine.AttachWal(wal_path).ok());
+    ASSERT_TRUE(engine.Begin().ok());
+    ASSERT_TRUE(engine.Insert("e", {Value::Number(3), Value::Number(4)}).ok());
+    ASSERT_TRUE(engine.Commit().ok());
+    auto tc = engine.Query("tc");
+    ASSERT_TRUE(tc.ok());
+    EXPECT_EQ(TypeToString((*tc)->type()), "11");
+    live = QueryDump(&engine, "tc");
+  }
+  IdlogEngine fresh;
+  Status prepared = fresh.PrepareRecovery(wal_path);
+  ASSERT_TRUE(prepared.ok()) << prepared.ToString();
+  ASSERT_TRUE(fresh.LoadProgramText(program).ok());
+  Status completed = fresh.CompleteRecovery();
+  ASSERT_TRUE(completed.ok()) << completed.ToString();
+  EXPECT_EQ(fresh.wal_commits_replayed(), 1u);
+  EXPECT_EQ(QueryDump(&fresh, "tc"), live);
+  EXPECT_NE(live.find("(3, 4)"), std::string::npos) << live;
+}
+
+// Regression: a program fact for a predicate that also has stored rows
+// made the predicate derived, so its fact shadowed every CSV row and
+// session updates to it were refused. A fact-only predicate is now
+// extensional: its facts merge into the stored relation.
+TEST(Session, ProgramFactsMergeWithStoredRows) {
+  ScratchDir scratch("facts");
+  IdlogEngine engine;
+  ASSERT_TRUE(
+      LoadCsvRelationFromString(&engine.database(), "edge", "c,d\n").ok());
+  ASSERT_TRUE(engine
+                  .LoadProgramText("edge(a, b).\n"
+                                   "path(X, Y) :- edge(X, Y).\n")
+                  .ok());
+  ASSERT_TRUE(engine.Run().ok());
+  EXPECT_EQ(testing_util::Rows(**engine.Query("edge"), engine.symbols()),
+            (std::vector<std::string>{"(a, b)", "(c, d)"}));
+  EXPECT_EQ(testing_util::Rows(**engine.Query("path"), engine.symbols()),
+            (std::vector<std::string>{"(a, b)", "(c, d)"}));
+
+  ASSERT_TRUE(engine.AttachWal(scratch.Path("s.wal")).ok());
+  ASSERT_TRUE(engine.Begin().ok());
+  Status inserted = engine.Insert("edge", T(&engine.symbols(), {"x", "y"}));
+  ASSERT_TRUE(inserted.ok()) << inserted.ToString();
+  ASSERT_TRUE(engine.Commit().ok());
+  EXPECT_NE(QueryDump(&engine, "path").find("x, y"), std::string::npos);
+
+  // A fact that does not fit the stored relation is refused, not
+  // silently dropped.
+  IdlogEngine clash;
+  ASSERT_TRUE(
+      LoadCsvRelationFromString(&clash.database(), "edge", "c,d\n").ok());
+  Status st = clash.LoadProgramText("edge(1, b).\n");
+  EXPECT_EQ(st.code(), StatusCode::kTypeError) << st.ToString();
+
+  // Stored rows under a rule-defined predicate would be replaced by the
+  // derived relation; that is refused too.
+  IdlogEngine ruled;
+  ASSERT_TRUE(
+      LoadCsvRelationFromString(&ruled.database(), "edge", "c,d\n").ok());
+  st = ruled.LoadProgramText("edge(a, b).\nedge(X, Y) :- link(X, Y).\n");
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
 }
 
 TEST(Session, CheckpointRotatesAndCommitsContinue) {

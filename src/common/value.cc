@@ -6,7 +6,7 @@ const char* SortName(Sort sort) { return sort == Sort::kU ? "u" : "i"; }
 
 std::string Value::ToString(const SymbolTable& symbols) const {
   if (is_number()) return std::to_string(number());
-  if (symbol() < symbols.size()) return symbols.NameOf(symbol());
+  if (symbol() < symbols.size()) return std::string(symbols.NameOf(symbol()));
   return "<sym#" + std::to_string(symbol()) + ">";
 }
 

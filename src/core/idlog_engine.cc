@@ -438,7 +438,7 @@ std::vector<WalValue> ToWalValues(const Tuple& t,
   out.reserve(t.size());
   for (const Value& v : t) {
     if (v.is_symbol()) {
-      out.push_back(WalValue::Symbol(symbols.NameOf(v.symbol())));
+      out.push_back(WalValue::Symbol(std::string(symbols.NameOf(v.symbol()))));
     } else {
       out.push_back(WalValue::Number(v.number()));
     }

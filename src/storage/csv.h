@@ -2,6 +2,8 @@
 #define IDLOG_STORAGE_CSV_H_
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/limits.h"
 #include "common/status.h"
@@ -9,32 +11,35 @@
 
 namespace idlog {
 
-/// Upper bound on a single CSV field, enforced by ParseCsvRecord.
+/// Upper bound on a single CSV field, enforced by the record scanner.
 /// Fields past this size are almost certainly a missing quote or a
 /// corrupt file, and letting them grow unbounded is a memory hazard.
 inline constexpr size_t kMaxCsvFieldBytes = 1 << 20;  // 1 MiB
 
-/// Parses one CSV line into fields, leniently: unterminated quotes are
-/// closed at end of line, quotes may open mid-field, and every '\r' is
-/// dropped. Kept for callers that want best-effort splitting; the
-/// loaders below use the strict ParseCsvRecord instead.
-std::vector<std::string> SplitCsvLine(const std::string& line);
-
-/// Strictly parses one CSV record (RFC-4180 style). Handles
-/// double-quoted fields with embedded commas, CRLF line endings (one
-/// trailing '\r' is stripped), and doubled quotes ("" escapes a quote).
+/// Strictly parses one CSV record (RFC-4180 style) — one line, without
+/// its '\n' — with the loaders' record scanner. Handles double-quoted
+/// fields with embedded commas, CRLF line endings (one trailing '\r' is
+/// stripped), and doubled quotes ("" escapes a quote).
 /// Returns ParseError for:
 ///  - an unterminated quoted field,
 ///  - text after a closing quote (`"ab"x`),
 ///  - a quote opening mid-field (`ab"cd"`),
 ///  - a stray carriage return outside quotes,
 ///  - a field longer than kMaxCsvFieldBytes.
-Result<std::vector<std::string>> ParseCsvRecord(const std::string& line);
+Result<std::vector<std::string>> ParseCsvRecord(std::string_view line);
 
-/// Loads `path` into relation `name`: one tuple per non-empty line,
-/// fields comma-separated; all-digit fields become sort-i values, the
-/// rest are interned as sort-u constants (matching Database::AddRow).
-/// With `skip_header`, the first line is dropped.
+/// Loads `path` into relation `name`. The format is line-based: one
+/// record per '\n'-terminated line (CRLF accepted), parsed as by
+/// ParseCsvRecord, so a quoted field may hold commas, quotes and '\r'
+/// but never a line break. Blank lines are skipped; with `skip_header`
+/// the first line is dropped. A UTF-8 byte-order mark (EF BB BF) at the
+/// start of the input is not data and is stripped. Fields follow
+/// Database::AddRow: all-digit fields become sort-i values, the rest
+/// are interned as sort-u constants.
+///
+/// The input is read into one buffer and scanned in place: fields are
+/// views into it (only a field with "" escapes is unescaped, into a
+/// reused scratch buffer), so a row allocates nothing of its own.
 ///
 /// Malformed rows (bad quoting, oversized fields, arity mismatch
 /// against the relation or earlier rows, out-of-range integers) fail
@@ -47,10 +52,14 @@ Status LoadCsvRelation(Database* database, const std::string& name,
                        const std::string& path, bool skip_header = false,
                        ResourceGovernor* governor = nullptr);
 
-/// Writes `rel` to `path` as CSV (values in canonical sorted order),
-/// quoting fields that contain commas or quotes.
-Status SaveRelationCsv(const Relation& rel, const SymbolTable& symbols,
-                       const std::string& path);
+/// Writes relation `name` (`rel`) to `path` as CSV, values in canonical
+/// sorted order, so that LoadCsvRelation reads back the same tuples.
+/// Fields containing a comma, a quote or a '\r', and empty fields, are
+/// quoted. A spelling containing '\n' cannot be written to the
+/// line-based format: InvalidArgument naming the relation; so is a
+/// non-empty arity-0 relation, whose rows would be blank lines.
+Status SaveRelationCsv(const std::string& name, const Relation& rel,
+                       const SymbolTable& symbols, const std::string& path);
 
 /// Parses CSV content from a string instead of a file (for tests).
 Status LoadCsvRelationFromString(Database* database, const std::string& name,

@@ -34,7 +34,7 @@ Result<Relation*> Database::GetMutable(const std::string& name) {
   return &it->second;
 }
 
-Status Database::AddTuple(const std::string& name, Tuple t) {
+Status Database::AddValues(const std::string& name, TupleView t) {
   auto it = relations_.find(name);
   if (it == relations_.end()) {
     RelationType type;
@@ -46,7 +46,7 @@ Status Database::AddTuple(const std::string& name, Tuple t) {
   for (const Value& v : t) {
     if (v.is_symbol()) u_domain_.insert(v.symbol());
   }
-  return it->second.InsertChecked(std::move(t));
+  return it->second.InsertChecked(t);
 }
 
 Result<bool> Database::EraseTuple(const std::string& name, const Tuple& t) {
@@ -58,10 +58,18 @@ Result<bool> Database::EraseTuple(const std::string& name, const Tuple& t) {
 }
 
 Status Database::AddRow(const std::string& name,
-                        const std::vector<std::string>& fields) {
-  Tuple t;
-  t.reserve(fields.size());
-  for (const std::string& f : fields) {
+                        const std::string_view* fields, size_t n) {
+  // Rows of common arity are built on the stack.
+  constexpr size_t kInline = 8;
+  Value inline_values[kInline];
+  std::vector<Value> heap_values;
+  Value* values = inline_values;
+  if (n > kInline) {
+    heap_values.resize(n);
+    values = heap_values.data();
+  }
+  for (size_t k = 0; k < n; ++k) {
+    const std::string_view f = fields[k];
     bool numeric = !f.empty();
     for (char c : f) {
       if (!std::isdigit(static_cast<unsigned char>(c))) {
@@ -69,22 +77,30 @@ Status Database::AddRow(const std::string& name,
         break;
       }
     }
-    if (numeric) {
-      // std::stoll throws on overflow; reject fields past int64 range
-      // (19 significant digits, compared lexicographically at 19).
-      size_t nz = f.find_first_not_of('0');
-      size_t digits = nz == std::string::npos ? 0 : f.size() - nz;
-      if (digits > 19 ||
-          (digits == 19 && f.compare(nz, 19, "9223372036854775807") > 0)) {
-        return Status::ParseError("integer field '" + f +
-                                  "' overflows 64-bit range");
-      }
-      t.push_back(Value::Number(std::stoll(f)));
-    } else {
-      t.push_back(Value::Symbol(symbols_->Intern(f)));
+    if (!numeric) {
+      values[k] = Value::Symbol(symbols_->Intern(f));
+      continue;
     }
+    // Reject fields past int64 range (19 significant digits, compared
+    // lexicographically at 19); what passes cannot overflow below.
+    size_t nz = f.find_first_not_of('0');
+    size_t digits = nz == std::string_view::npos ? 0 : f.size() - nz;
+    if (digits > 19 ||
+        (digits == 19 && f.compare(nz, 19, "9223372036854775807") > 0)) {
+      return Status::ParseError("integer field '" + std::string(f) +
+                                "' overflows 64-bit range");
+    }
+    uint64_t number = 0;
+    for (char c : f) number = number * 10 + static_cast<uint64_t>(c - '0');
+    values[k] = Value::Number(static_cast<int64_t>(number));
   }
-  return AddTuple(name, std::move(t));
+  return AddValues(name, TupleView(values, n));
+}
+
+Status Database::AddRow(const std::string& name,
+                        const std::vector<std::string>& fields) {
+  const std::vector<std::string_view> views(fields.begin(), fields.end());
+  return AddRow(name, views.data(), views.size());
 }
 
 }  // namespace idlog

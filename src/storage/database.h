@@ -6,6 +6,7 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -108,10 +109,19 @@ class Database {
 
   /// Adds a tuple, creating the relation from the tuple's sorts if it
   /// does not exist yet. Sort-u constants are added to the u-domain.
-  Status AddTuple(const std::string& name, Tuple t);
+  Status AddTuple(const std::string& name, Tuple t) {
+    return AddValues(name, t);
+  }
 
-  /// Convenience: interns `fields` that look like numbers as sort-i and
-  /// the rest as sort-u symbols.
+  /// Adds one row of `n` text fields, creating the relation as
+  /// AddTuple does. A non-empty all-digit field becomes a sort-i value
+  /// (ParseError past 2^63 - 1); any other field is interned as a
+  /// sort-u symbol, in field order. Digits are parsed in place and the
+  /// row is built on the stack, so a row costs no heap allocation of
+  /// its own — the CSV loader calls this once per record.
+  Status AddRow(const std::string& name, const std::string_view* fields,
+                size_t n);
+  /// Convenience over the view form.
   Status AddRow(const std::string& name, const std::vector<std::string>& fields);
 
   /// Removes one tuple from an existing relation; true if it was
@@ -130,6 +140,8 @@ class Database {
   const std::vector<std::string>& relation_names() const { return names_; }
 
  private:
+  Status AddValues(const std::string& name, TupleView t);
+
   SymbolTable* symbols_;
   std::map<std::string, Relation> relations_;
   std::vector<std::string> names_;

@@ -1,6 +1,7 @@
 #include "store/snapshot.h"
 
 #include <cstring>
+#include <string_view>
 
 #include "store/atomic_file.h"
 #include "common/failpoint.h"
@@ -62,7 +63,7 @@ void PutI32(std::string* out, int32_t v) {
   PutU32(out, static_cast<uint32_t>(v));
 }
 
-void PutStr(std::string* out, const std::string& s) {
+void PutStr(std::string* out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
 }

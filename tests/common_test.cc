@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "common/status.h"
 #include "common/symbol_table.h"
 #include "common/value.h"
@@ -74,6 +79,72 @@ TEST(SymbolTable, LookupMissing) {
   EXPECT_EQ(t.Lookup("ghost"), SymbolTable::kNoSymbol);
   t.Intern("ghost");
   EXPECT_NE(t.Lookup("ghost"), SymbolTable::kNoSymbol);
+}
+
+// Differential: the arena/open-addressing table against a std::
+// unordered_map model, across many growths of both the slot table and
+// the arena.
+TEST(SymbolTableDifferential, MatchesHashMapModel) {
+  std::mt19937 rng(13);
+  SymbolTable table;
+  std::unordered_map<std::string, SymbolId> model;
+  std::vector<std::string> names;  // by id
+  auto check_lookups = [&](const SymbolTable& t,
+                           const std::vector<std::string>& by_id) {
+    ASSERT_EQ(t.size(), by_id.size());
+    for (SymbolId id = 0; id < by_id.size(); ++id) {
+      ASSERT_EQ(t.NameOf(id), by_id[id]) << id;
+      ASSERT_EQ(t.Lookup(by_id[id]), id) << by_id[id];
+    }
+  };
+  // Names of varied length that share prefixes, so probes meet equal
+  // lengths, prefixes and extensions of each other.
+  auto random_name = [&]() {
+    std::string name = "n" + std::to_string(rng() % 150000);
+    if (rng() % 4 == 0) name += std::string(rng() % 40, 'z');
+    if (rng() % 8 == 0) name.pop_back();
+    return name;
+  };
+  SymbolTable copy;
+  std::vector<std::string> copy_names;
+  for (int step = 0; step < 250000; ++step) {
+    // The empty name is interned once, mid-growth.
+    const bool empty = step == 777;
+    const std::string name = empty ? std::string() : random_name();
+    if (!empty && rng() % 5 == 0) {
+      auto it = model.find(name);
+      const SymbolId want =
+          it == model.end() ? SymbolTable::kNoSymbol : it->second;
+      ASSERT_EQ(table.Lookup(name), want) << name;
+      continue;
+    }
+    auto [it, fresh] =
+        model.emplace(name, static_cast<SymbolId>(names.size()));
+    if (fresh) names.push_back(name);
+    ASSERT_EQ(table.Intern(name), it->second) << name;
+    ASSERT_EQ(table.size(), names.size());
+    if (step == 60000) {
+      copy = table;
+      copy_names = names;
+    }
+  }
+  ASSERT_GE(names.size(), 100000u);
+  check_lookups(table, names);
+  EXPECT_EQ(table.Lookup(""), model.at(""));
+  EXPECT_EQ(table.NameOf(model.at("")), "");
+  for (int miss = 0; miss < 1000; ++miss) {
+    const std::string ghost = "ghost" + std::to_string(miss);
+    EXPECT_EQ(table.Lookup(ghost), SymbolTable::kNoSymbol);
+  }
+
+  // The copy is independent: it kept its own contents, and interning
+  // into it does not touch the original.
+  check_lookups(copy, copy_names);
+  const SymbolId only_in_copy = copy.Intern("only-in-copy");
+  EXPECT_EQ(only_in_copy, copy_names.size());
+  EXPECT_EQ(table.Lookup("only-in-copy"), SymbolTable::kNoSymbol);
+  EXPECT_EQ(table.size(), names.size());
+  EXPECT_EQ(copy.Lookup(names.back()), SymbolTable::kNoSymbol);
 }
 
 TEST(Value, SortsAndPayloads) {

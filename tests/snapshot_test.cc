@@ -292,7 +292,7 @@ TEST(AtomicFile, CsvAndTraceOutputsAreAtomic) {
   Relation rel(RelationType{Sort::kU, Sort::kU});
   rel.Insert(testing_util::T(&symbols, {"a", "b"}));
   std::string csv_path = scratch.Path("rel.csv");
-  ASSERT_TRUE(SaveRelationCsv(rel, symbols, csv_path).ok());
+  ASSERT_TRUE(SaveRelationCsv("rel", rel, symbols, csv_path).ok());
   std::string before = Slurp(csv_path);
   EXPECT_EQ(before, "a,b\n");
 
@@ -300,11 +300,11 @@ TEST(AtomicFile, CsvAndTraceOutputsAreAtomic) {
   Failpoints::Instance().Reset();
   ASSERT_TRUE(
       Failpoints::Instance().ArmFromSpec("store.write.rename:1").ok());
-  EXPECT_FALSE(SaveRelationCsv(rel, symbols, csv_path).ok());
+  EXPECT_FALSE(SaveRelationCsv("rel", rel, symbols, csv_path).ok());
   EXPECT_EQ(Slurp(csv_path), before);
   EXPECT_EQ(TmpFileCount(scratch.dir()), 0);
   Failpoints::Instance().Reset();
-  ASSERT_TRUE(SaveRelationCsv(rel, symbols, csv_path).ok());
+  ASSERT_TRUE(SaveRelationCsv("rel", rel, symbols, csv_path).ok());
   std::string after = Slurp(csv_path);
   EXPECT_NE(after, before);
   EXPECT_NE(after.find("\"c, quoted\",d"), std::string::npos);

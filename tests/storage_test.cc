@@ -429,6 +429,30 @@ TEST(RelationBytes, ApproxTupleBytesBoundsTheHeapWithinTwoX) {
   }
 }
 
+TEST(SymbolTableBytes, ApproxBytesBoundsTheHeapWithinTwoX) {
+  SymbolTable table;
+  std::mt19937 rng(9);
+  for (int n = 0; n < 100000; ++n) {
+    table.Intern("s" + std::to_string(rng()) +
+                 std::string(rng() % 24, 'q'));
+    if (table.size() < 64) continue;  // minimum sizes dominate
+    const uint64_t logical = table.approx_bytes();
+    ASSERT_GE(table.heap_bytes(), logical) << table.size();
+    ASSERT_LE(table.heap_bytes(), 2 * logical) << table.size();
+  }
+  // The formula itself: arena + 4 * (symbols + 1) + 8 * slots, with
+  // the slot table at load at most 1/2.
+  uint64_t arena = 0;
+  for (SymbolId id = 0; id < table.size(); ++id) {
+    arena += table.NameOf(id).size();
+  }
+  const uint64_t slots = (table.approx_bytes() - arena -
+                          4 * (table.size() + 1)) / 8;
+  EXPECT_EQ(arena + 4 * (table.size() + 1) + 8 * slots, table.approx_bytes());
+  EXPECT_GE(slots, 2 * table.size());
+  EXPECT_EQ(slots & (slots - 1), 0u) << "power of two";
+}
+
 // --------------------------------------------------------------------
 // Durable formats reject integers the packed Value cannot hold.
 

@@ -90,6 +90,33 @@ const Relation* EngineImpl::FullRelation(const std::string& pred) const {
   return nullptr;
 }
 
+EvalContext EngineImpl::BuildRunContext() {
+  EvalContext ctx;
+  ctx.full = [this](const std::string& pred) { return FullRelation(pred); };
+  ctx.index_caches = &index_caches_;
+  ctx.stats = &stats_;
+  ctx.use_indexes = use_indexes_;
+  ctx.governor = governor_;
+  ctx.trace = trace_;
+  ctx.profile = profiling_ ? &profile_ : nullptr;
+  // Parallel stratum execution. Provenance-enabled runs parallelize
+  // too: workers record into private per-task stores that the round
+  // merge absorbs in serial task order (see stratum_eval.cc).
+  if (threads_ > 1) {
+    if (pool_ == nullptr || pool_->size() != threads_) {
+      pool_ = std::make_unique<ThreadPool>(threads_);
+    }
+    ctx.pool = pool_.get();
+  } else {
+    pool_.reset();
+  }
+  if (provenance_enabled_) {
+    ctx.provenance = &provenance_;
+    ctx.symbols = database_->symbols();
+  }
+  return ctx;
+}
+
 void EngineImpl::InstallResumeState(EvalResumeState state) {
   derived_ = std::move(state.derived);
   // Only IDB relations belong here. A snapshot cut before fact-only
@@ -210,8 +237,7 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
     }
   }
 
-  EvalContext ctx;
-  ctx.full = [this](const std::string& pred) { return FullRelation(pred); };
+  EvalContext ctx = BuildRunContext();
   ctx.id_relation =
       [this, assigner](const std::string& pred, const std::vector<int>& group)
       -> Result<const Relation*> {
@@ -264,34 +290,12 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
     (void)inserted;
     return &pos->second;
   };
-  ctx.index_caches = &index_caches_;
-  ctx.stats = &stats_;
-  ctx.use_indexes = use_indexes_;
-  ctx.governor = governor_;
-  ctx.trace = trace_;
-  ctx.profile = profiling_ ? &profile_ : nullptr;
   ctx.analyze = explain_ ? &plan_analysis_ : nullptr;
-  // Parallel stratum execution. Provenance-enabled runs parallelize
-  // too: workers record into private per-task stores that the round
-  // merge absorbs in serial task order (see stratum_eval.cc).
-  if (threads_ > 1) {
-    if (pool_ == nullptr || pool_->size() != threads_) {
-      pool_ = std::make_unique<ThreadPool>(threads_);
-    }
-    ctx.pool = pool_.get();
-  } else {
-    pool_.reset();
-  }
-  ctx.delta_partitions = delta_partitions_;
   // A shared governor can outlive this engine (enumerators create
   // stack-local engines against one long-lived governor); the guard
   // withdraws our stats_ pointer and labels on every exit path so a
   // later trip never dereferences a destroyed engine.
   GovernorScope governor_scope(governor_, &stats_, "stratum fixpoint");
-  if (provenance_enabled_) {
-    ctx.provenance = &provenance_;
-    ctx.symbols = database_->symbols();
-  }
 
   const int start_stratum = resume != nullptr ? resume->stratum : 0;
   for (int s = start_stratum; s < strat_.num_strata; ++s) {
@@ -479,8 +483,7 @@ Status EngineImpl::EvaluateIncremental(
   TraceSpan eval_span(trace_, "evaluate incremental", "engine");
   eval_span.AddArg(TraceArg::Num("changed_preds", changed.size()));
 
-  EvalContext ctx;
-  ctx.full = [this](const std::string& pred) { return FullRelation(pred); };
+  EvalContext ctx = BuildRunContext();
   // Lookup-only: a completed run materialized (at each stratum's entry)
   // every ID-relation its plans read, and the refusal above rules out
   // tainted bases, so a miss is a broken invariant rather than work.
@@ -494,30 +497,11 @@ Status EngineImpl::EvaluateIncremental(
     }
     return &it->second;
   };
-  ctx.index_caches = &index_caches_;
-  ctx.stats = &stats_;
-  ctx.use_indexes = use_indexes_;
-  ctx.governor = governor_;
-  ctx.trace = trace_;
-  ctx.profile = profiling_ ? &profile_ : nullptr;
   // EXPLAIN ANALYZE counters keep describing the last full run: the
   // per-stratum round log is keyed by stratum index and an incremental
   // pass would append duplicate entries.
   ctx.analyze = nullptr;
-  if (threads_ > 1) {
-    if (pool_ == nullptr || pool_->size() != threads_) {
-      pool_ = std::make_unique<ThreadPool>(threads_);
-    }
-    ctx.pool = pool_.get();
-  } else {
-    pool_.reset();
-  }
-  ctx.delta_partitions = delta_partitions_;
   GovernorScope governor_scope(governor_, &stats_, "incremental fixpoint");
-  if (provenance_enabled_) {
-    ctx.provenance = &provenance_;
-    ctx.symbols = database_->symbols();
-  }
 
   // `seed` accumulates every externally-visible change as strata run:
   // the EDB insertions up front, then each stratum's own growth, so a

@@ -207,15 +207,6 @@ class EngineImpl {
   void set_threads(int n) { threads_ = n < 1 ? 1 : n; }
   int threads() const { return threads_; }
 
-  /// Delta-partition fan-out for heavy recursive tasks (0 = auto:
-  /// match the pool's parallelism). Results are byte-identical for
-  /// every value; explicit values exist for the partition sweep tests
-  /// and tuning.
-  void set_delta_partitions(int k) {
-    delta_partitions_ = k < 0 ? 0 : k;
-  }
-  int delta_partitions() const { return delta_partitions_; }
-
   /// Enables the per-rule/per-stratum profile (off by default). The
   /// attribution cost is a few clock reads per rule evaluation.
   void set_profiling_enabled(bool enabled) { profiling_ = enabled; }
@@ -252,6 +243,13 @@ class EngineImpl {
 
   const Relation* FullRelation(const std::string& pred) const;
 
+  /// The evaluation context Evaluate and EvaluateIncremental share:
+  /// full-relation resolver, index caches, stats, governor, trace,
+  /// profile, provenance and the thread pool (created, resized or
+  /// dropped to match threads_). Callers add `id_relation` and
+  /// `analyze`, which differ between the two.
+  EvalContext BuildRunContext();
+
   const Program* program_;
   const Database* database_;
 
@@ -270,7 +268,6 @@ class EngineImpl {
   mutable std::map<const Relation*, std::unique_ptr<IndexCache>>
       index_caches_;
   int threads_ = 1;
-  int delta_partitions_ = 0;  ///< 0 = auto (pool parallelism).
   std::unique_ptr<ThreadPool> pool_;  ///< Lazily sized to threads_.
   EvalStats stats_;
   ResourceGovernor* governor_ = nullptr;

@@ -16,8 +16,8 @@ struct EvalStats {
   /// Of those, new (first derivation). In the stratified fixpoint a
   /// fact counts when its round commits it into the full relation —
   /// the one definition of "new" that is identical for every --jobs
-  /// and delta-partition setting; a round that errors out counts
-  /// nothing, matching its discarded staging.
+  /// setting; a round that errors out counts nothing, matching its
+  /// discarded staging.
   uint64_t facts_inserted = 0;
   uint64_t rule_firings = 0;        ///< Rule evaluation passes.
   uint64_t iterations = 0;          ///< Fixpoint rounds across strata.

@@ -111,54 +111,6 @@ size_t ProvenanceStore::Absorb(ProvenanceStore* other) {
   return bytes_ - before;
 }
 
-size_t ProvenanceStore::AbsorbMerged(
-    const std::vector<ProvenanceStore*>& parts,
-    const std::vector<const std::vector<uint64_t>*>& orders) {
-  const size_t before = bytes_;
-  std::vector<size_t> cursor(parts.size(), 0);
-  std::vector<std::vector<PredId>> remap(parts.size());
-  for (size_t p = 0; p < parts.size(); ++p) {
-    remap[p].assign(parts[p]->pred_names_.size(), kNoPred);
-    if (orders[p]->size() != parts[p]->nodes_.size()) {
-      // Tag bookkeeping out of sync — should be unreachable, but a
-      // sequential absorb is a safe (order-degraded) fallback.
-      for (ProvenanceStore* part : parts) (void)Absorb(part);
-      return bytes_ - before;
-    }
-  }
-  while (true) {
-    size_t best = parts.size();
-    uint64_t best_tag = 0;
-    for (size_t p = 0; p < parts.size(); ++p) {
-      if (cursor[p] >= parts[p]->nodes_.size()) continue;
-      uint64_t tag = (*orders[p])[cursor[p]];
-      // Ties cannot occur across parts (a delta row has one owner);
-      // within a part, tags are non-decreasing by construction.
-      if (best == parts.size() || tag < best_tag) {
-        best = p;
-        best_tag = tag;
-      }
-    }
-    if (best == parts.size()) break;
-    ProvenanceStore& src = *parts[best];
-    Node& n = src.nodes_[cursor[best]++];
-    PredId& mapped = remap[best][n.pred];
-    if (mapped == kNoPred) {
-      mapped = InternPredicate(src.pred_names_[n.pred]);
-    }
-    std::vector<Premise> premises;
-    premises.reserve(n.deriv.premise_count);
-    for (uint32_t i = 0; i < n.deriv.premise_count; ++i) {
-      premises.push_back(
-          std::move(src.premise_arena_[n.deriv.premise_begin + i]));
-    }
-    (void)Record(mapped, n.tuple, n.deriv.clause_index,
-                 std::move(premises));
-  }
-  for (ProvenanceStore* part : parts) part->Clear();
-  return bytes_ - before;
-}
-
 namespace {
 
 void ExplainRec(const ProvenanceStore& store, const SymbolTable& symbols,

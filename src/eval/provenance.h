@@ -111,19 +111,6 @@ class ProvenanceStore {
   /// `other` cleared.
   size_t Absorb(ProvenanceStore* other);
 
-  /// Adopts the stores of one partitioned task's parts as a single
-  /// logical absorb: nodes are replayed in ascending order-tag (the
-  /// delta-row ordinal each record was tagged with at evaluation time,
-  /// `orders[p]` running parallel to part p's recording order). A delta
-  /// row is owned by exactly one partition, so the tags K-way-merge
-  /// without ties into the serial recording order — the store ends up
-  /// byte-identical for every partition count. `orders[p]` must have
-  /// one entry per node of `parts[p]`. Returns the exact growth of
-  /// approx_bytes() (interning included); leaves every part cleared.
-  size_t AbsorbMerged(
-      const std::vector<ProvenanceStore*>& parts,
-      const std::vector<const std::vector<uint64_t>*>& orders);
-
   size_t size() const { return nodes_.size(); }
   /// Total premises across all recorded derivations.
   size_t num_premises() const { return premise_arena_.size(); }

@@ -55,16 +55,32 @@ class RuleExecutor {
           ctx_.delta ? ctx_.delta(step.predicate) : nullptr;
       if (delta == nullptr || delta->empty()) return Status::OK();
     }
-    // A partitioned task is one logical rule evaluation split across
-    // K executor runs; partition 0 counts the firing for all of them,
-    // so the sum over partitions equals an unpartitioned run.
-    if (ctx_.stats != nullptr && ctx_.partition_index == 0) {
-      ++ctx_.stats->rule_firings;
-    }
-    return RunStep(0);
+    if (ctx_.stats != nullptr) ++ctx_.stats->rule_firings;
+    IDLOG_RETURN_NOT_OK(RunStep(0));
+    return FlushWork();
   }
 
  private:
+  /// Governor checkpoint, batched per evaluation: pool workers share
+  /// one governor, and an atomic add on its work counter per tuple
+  /// would bounce that cache line between every thread. Work is
+  /// handed over every kWorkBatch units and when the evaluation ends,
+  /// so deadlines and cancellation are seen at most kWorkBatch units
+  /// late.
+  static constexpr uint32_t kWorkBatch = 64;
+
+  Status CheckPoint() {
+    if (++unflushed_work_ < kWorkBatch) return Status::OK();
+    return FlushWork();
+  }
+
+  Status FlushWork() {
+    const uint32_t units = unflushed_work_;
+    unflushed_work_ = 0;
+    if (ctx_.governor == nullptr || units == 0) return Status::OK();
+    return ctx_.governor->CheckPoint(units);
+  }
+
   Value Resolve(const ArgSource& src) const {
     return src.is_slot ? slots_[static_cast<size_t>(src.slot)] : src.constant;
   }
@@ -92,9 +108,6 @@ class RuleExecutor {
       row[k] = Resolve(plan_.head_args[k]);
     }
     if (ctx_.stats != nullptr) ++ctx_.stats->facts_derived;
-    if (ctx_.staged_order != nullptr) {
-      ctx_.staged_order->push_back(cur_delta_row_);
-    }
     if (ctx_.provenance != nullptr) {
       // Interned at first emit, not construction: the store's predicate
       // table must hold exactly the predicates with recorded nodes, in
@@ -105,32 +118,10 @@ class RuleExecutor {
         head_pred_id_ = ctx_.provenance->InternPredicate(plan_.head_pred);
       }
       // Bytes are charged when the driver absorbs the store.
-      const size_t node_bytes = ctx_.provenance->Record(
-          head_pred_id_, (*out_)[out_->size() - 1], plan_.clause_index,
-          premises_);
-      if (node_bytes > 0 && ctx_.prov_order != nullptr) {
-        ctx_.prov_order->push_back(cur_delta_row_);
-      }
+      ctx_.provenance->Record(head_pred_id_, (*out_)[out_->size() - 1],
+                              plan_.clause_index, premises_);
     }
     return Status::OK();
-  }
-
-  /// Partition owner of a delta row: a hash over the join-key columns
-  /// (all columns when none were identified) modulo the partition
-  /// count. Purely value-based, so it is identical across --jobs and
-  /// independent of scheduling.
-  int PartitionOf(TupleView row) const {
-    size_t h;
-    if (ctx_.partition_cols != nullptr && !ctx_.partition_cols->empty()) {
-      h = ctx_.partition_cols->size();
-      for (int col : *ctx_.partition_cols) {
-        h = HashCombine(h, row[static_cast<size_t>(col)].Hash());
-      }
-    } else {
-      h = TupleHash{}(row);
-    }
-    return static_cast<int>(h %
-                            static_cast<size_t>(ctx_.partition_count));
   }
 
   // Verifies kKey positions against `row` (needed when scanning without
@@ -181,12 +172,7 @@ class RuleExecutor {
     if (i == plan_.steps.size()) return EmitHead();
     const PlanStep& step = plan_.steps[i];
     StepCounters* sc = sc_ != nullptr ? &sc_[i] : nullptr;
-    // The partitioned step (always step 0, the delta scan) is entered
-    // once per partition but represents one logical entry; partition 0
-    // counts it, mirroring rule_firings.
-    if (sc != nullptr && (i != 0 || ctx_.partition_index == 0)) {
-      ++sc->rows_in;
-    }
+    if (sc != nullptr) ++sc->rows_in;
 
     switch (step.kind) {
       case PlanStep::Kind::kScan: {
@@ -231,26 +217,10 @@ class RuleExecutor {
         }
 
         if (index == nullptr) {
-          // Partitioned delta scan: skip rows another partition owns
-          // *before* any counting or governor probing, so each delta
-          // row is charged to exactly one partition and counter sums
-          // over partitions reproduce the unpartitioned run. The driver
-          // only partitions tasks whose delta step is step 0 with no
-          // bound keys, which is precisely this loop.
-          const bool partitioned =
-              use_delta && i == 0 && ctx_.partition_count > 1;
-          uint64_t ordinal = 0;
           for (TupleView row : rel->tuples()) {
-            const uint64_t r = ordinal++;
-            if (partitioned) {
-              if (PartitionOf(row) != ctx_.partition_index) continue;
-              cur_delta_row_ = r;
-            }
             if (ctx_.stats != nullptr) ++ctx_.stats->tuples_considered;
             if (sc != nullptr) ++sc->rows_scanned;
-            if (ctx_.governor != nullptr) {
-              IDLOG_RETURN_NOT_OK(ctx_.governor->CheckPoint());
-            }
+            IDLOG_RETURN_NOT_OK(CheckPoint());
             if (!KeysMatch(step, row)) continue;
             if (!BindRow(step, row)) continue;
             if (ctx_.provenance != nullptr) RecordScanPremise(i, step, row);
@@ -270,9 +240,7 @@ class RuleExecutor {
         for (size_t r : index->Lookup(TupleView(probe_.data(), nkeys))) {
           if (ctx_.stats != nullptr) ++ctx_.stats->tuples_considered;
           if (sc != nullptr) ++sc->rows_scanned;
-          if (ctx_.governor != nullptr) {
-            IDLOG_RETURN_NOT_OK(ctx_.governor->CheckPoint());
-          }
+          IDLOG_RETURN_NOT_OK(CheckPoint());
           const TupleView row = rel->row(r);
           if (!BindRow(step, row)) continue;
           if (ctx_.provenance != nullptr) RecordScanPremise(i, step, row);
@@ -290,9 +258,7 @@ class RuleExecutor {
         const TupleView probe(probe_.data(), width);
         if (ctx_.stats != nullptr) ++ctx_.stats->tuples_considered;
         if (sc != nullptr) ++sc->rows_scanned;
-        if (ctx_.governor != nullptr) {
-          IDLOG_RETURN_NOT_OK(ctx_.governor->CheckPoint());
-        }
+        IDLOG_RETURN_NOT_OK(CheckPoint());
         if (rel != nullptr && rel->Contains(probe)) return Status::OK();
         if (ctx_.provenance != nullptr) {
           Premise& p = premises_[i];
@@ -331,10 +297,8 @@ class RuleExecutor {
             step.builtin, args, [&](const std::vector<Value>& solution) {
               if (!inner.ok()) return;
               if (sc != nullptr) ++sc->rows_scanned;
-              if (ctx_.governor != nullptr) {
-                inner = ctx_.governor->CheckPoint();
-                if (!inner.ok()) return;
-              }
+              inner = CheckPoint();
+              if (!inner.ok()) return;
               // Apply writes/filters for unbound positions.
               for (size_t pos = 0; pos < step.modes.size(); ++pos) {
                 const ArgSource& src = step.sources[pos];
@@ -396,10 +360,8 @@ class RuleExecutor {
   std::vector<Premise> premises_;
   /// Interned head predicate id (valid only when provenance is on).
   ProvenanceStore::PredId head_pred_id_ = ProvenanceStore::kNoPred;
-  /// Ordinal of the delta row currently being expanded (partitioned
-  /// scans only) — the order tag EmitHead records so the driver can
-  /// merge partitions back into serial emission order.
-  uint64_t cur_delta_row_ = 0;
+  /// Work counted since the last hand-over to the governor.
+  uint32_t unflushed_work_ = 0;
   /// EXPLAIN ANALYZE counter array (steps+1 entries, last is the emit
   /// pseudo-step), or null when analysis is off — see the constructor.
   StepCounters* sc_ = nullptr;

@@ -46,8 +46,9 @@ struct EvalContext {
   EvalStats* stats = nullptr;
 
   /// Resource budgets (deadline, tuples, memory, iterations) and the
-  /// cooperative cancellation token. When set, the executor checkpoints
-  /// once per tuple considered and charges every inserted fact, so
+  /// cooperative cancellation token. When set, the executor counts
+  /// every tuple considered (handed over in small batches) and the
+  /// stratum driver charges every inserted fact, so
   /// runaway joins and non-terminating fixpoints trip instead of
   /// spinning. Null means ungoverned.
   ResourceGovernor* governor = nullptr;
@@ -70,40 +71,6 @@ struct EvalContext {
   /// unified task path leave this false and keep the lazy mutable index
   /// builds.
   bool parallel_worker = false;
-
-  /// Configured delta-partition fan-out for the stratified fixpoint:
-  /// 0 = auto (match the pool's parallelism; 1 without a pool), an
-  /// explicit K >= 1 forces K partitions even in serial runs — the
-  /// partition sweep tests rely on that to pin partition-count
-  /// invariance. EvaluateStratum resolves this per task (only heavy
-  /// delta-step-0 tasks are eligible) and clamps to the delta size.
-  int delta_partitions = 0;
-
-  /// Delta partitioning as resolved for one executor run (set by the
-  /// round executor on part contexts; these describe the slice handed
-  /// to one executor run). When partition_count > 1 the delta scan — which
-  /// eligibility restricts to plan step 0 — only descends into rows
-  /// whose hash over `partition_cols` (all columns when null/empty)
-  /// lands on `partition_index`; the ownership test runs before any
-  /// per-row counting, so summing counters over all partitions
-  /// reproduces an unpartitioned run exactly. Partitions > 0 also
-  /// suppress the once-per-evaluation counters (rule_firings, the delta
-  /// step's rows_in), which partition 0 counts on behalf of the task.
-  int partition_index = 0;
-  int partition_count = 1;
-  const std::vector<int>* partition_cols = nullptr;
-
-  /// Order tags for partitioned tasks (null when partition_count == 1).
-  /// The executor appends the current delta-row ordinal once per staged
-  /// row (`staged_order`) and once
-  /// per provenance record actually retained (`prov_order`). Rows are
-  /// owned by exactly one partition, so a K-way merge by these tags
-  /// reconstructs the serial emission order across partitions — which
-  /// is what keeps the committed relation order, the next delta, and
-  /// the first-derivation-wins provenance store byte-identical for
-  /// every partition count.
-  std::vector<uint64_t>* staged_order = nullptr;
-  std::vector<uint64_t>* prov_order = nullptr;
 
   /// Observability (both null by default — the fast path is a pointer
   /// test per *rule evaluation*, never per tuple). `trace` receives one
@@ -145,8 +112,7 @@ struct EvalContext {
 /// commits `out` into the full relation, and that commit is where
 /// facts_inserted, the emit step's rows_emitted, governor OnDerived
 /// charges and provenance byte charges are accounted — the one
-/// definition of "new" that is invariant across --jobs and partition
-/// counts.
+/// definition of "new" that is invariant across --jobs.
 Status EvaluateRuleInto(const RulePlan& plan, const EvalContext& ctx,
                         int delta_step, RowBuffer* out);
 

@@ -14,9 +14,6 @@ namespace idlog {
 
 namespace {
 
-constexpr const char kAbortMarker[] =
-    "round aborted: an earlier task in this round failed";
-
 /// Builds or refreshes, on the calling thread, every column index the
 /// tasks can reach, so workers never mutate the shared cache. The set
 /// is enumerable up front because each plan step scans one fixed
@@ -62,39 +59,32 @@ Status PrebuildIndexes(const EvalContext& ctx,
   return Status::OK();
 }
 
-/// Evaluates one part: sets up the part-private context (counters,
-/// per-step buffer, provenance store, partition slice) and converts any
-/// escaping exception into the part's Status. `pooled` selects the
-/// lookup-only index mode for pool workers.
-void RunPart(const EvalContext& base_ctx, const RoundTask& task,
-             RoundPart* part, std::atomic<bool>* abort, bool pooled) {
+/// Evaluates one task: sets up the task-private context (counters,
+/// per-step buffer, provenance store) and converts any escaping
+/// exception into the task's Status. `pooled` selects the lookup-only
+/// index mode for pool workers.
+void RunTask(const EvalContext& base_ctx, RoundTask* task,
+             std::atomic<bool>* abort, bool pooled) {
   if (abort->load(std::memory_order_relaxed)) {
-    part->status = Status::Internal(kAbortMarker);
+    task->skipped = true;
     return;
   }
   EvalContext ctx = base_ctx;
-  ctx.stats = &part->stats;
+  ctx.stats = &task->stats;
   ctx.parallel_worker = pooled;
   // Observability attribution happens in the driver's deterministic
-  // merge; parts only measure. Per-step counters go to the part's
+  // merge; tasks only measure. Per-step counters go to the task's
   // private buffer, never the shared PlanAnalysis.
   ctx.trace = nullptr;
   ctx.profile = nullptr;
   ctx.analyze = nullptr;
   ctx.step_stats =
-      part->step_stats.steps.empty() ? nullptr : &part->step_stats;
-  // Derivations go to the part's private store; the driver absorbs them
+      task->step_stats.steps.empty() ? nullptr : &task->step_stats;
+  // Derivations go to the task's private store; the driver absorbs them
   // in serial task order (first-derivation-wins), so the final store
   // matches a serial run byte-for-byte.
-  if (base_ctx.provenance != nullptr) ctx.provenance = &part->prov;
-  if (task.partitions > 1) {
-    ctx.partition_index = part->partition;
-    ctx.partition_count = task.partitions;
-    ctx.partition_cols = &task.partition_cols;
-    ctx.staged_order = &part->staged_order;
-    if (base_ctx.provenance != nullptr) ctx.prov_order = &part->prov_order;
-  }
-  if (base_ctx.trace != nullptr) part->start_us = base_ctx.trace->NowUs();
+  if (base_ctx.provenance != nullptr) ctx.provenance = &task->prov;
+  if (base_ctx.trace != nullptr) task->start_us = base_ctx.trace->NowUs();
   auto t0 = std::chrono::steady_clock::now();
   // Rule evaluation reports through Status, but anything it calls
   // could still throw (and the fault-injection harness does, on
@@ -105,64 +95,52 @@ void RunPart(const EvalContext& base_ctx, const RoundTask& task,
     if (Failpoints::AnyArmed()) {
       fp = Failpoints::Instance().OnHit("exec.round.task");
     }
-    part->status = fp.ok() ? EvaluateRuleInto(*task.plan, ctx,
-                                              task.delta_step, &part->staged)
+    task->status = fp.ok() ? EvaluateRuleInto(*task->plan, ctx,
+                                              task->delta_step, &task->staged)
                            : fp;
   } catch (const std::exception& e) {
-    part->status =
+    task->status =
         Status::Internal(std::string("round task threw: ") + e.what());
   } catch (...) {
-    part->status = Status::Internal("round task threw a non-standard "
+    task->status = Status::Internal("round task threw a non-standard "
                                     "exception");
   }
-  part->self_ns = static_cast<uint64_t>(
+  task->self_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
-  if (!part->status.ok()) abort->store(true, std::memory_order_relaxed);
+  if (!task->status.ok()) abort->store(true, std::memory_order_relaxed);
 }
 
 }  // namespace
 
-bool IsRoundAbortMarker(const Status& s) {
-  return !s.ok() && s.message() == kAbortMarker;
-}
-
 Status RunRoundTasks(const EvalContext& base_ctx, ThreadPool* pool,
                      std::vector<RoundTask>* tasks) {
-  size_t total_parts = 0;
-  for (const RoundTask& task : *tasks) total_parts += task.parts.size();
-
-  // One failed (or throwing) part cancels the round: parts not yet
-  // started when the flag goes up return an abort marker instead of
-  // evaluating. The driver's in-order merge skips the markers and
+  // One failed (or throwing) task cancels the round: tasks not yet
+  // started when the flag goes up are marked skipped instead of
+  // evaluating. The driver's in-order merge passes over them and
   // surfaces the first real error.
   std::atomic<bool> abort{false};
 
-  const bool pooled = pool != nullptr && pool->size() > 1 && total_parts > 1;
+  const bool pooled = pool != nullptr && pool->size() > 1 && tasks->size() > 1;
   if (!pooled) {
     // Serial mode: the same task machinery, run in order on the calling
     // thread. Indexes build lazily inside the evaluation (mutable
     // cache access), exactly as the pre-task serial loop did.
     for (RoundTask& task : *tasks) {
-      for (RoundPart& part : task.parts) {
-        RunPart(base_ctx, task, &part, &abort, /*pooled=*/false);
-      }
+      RunTask(base_ctx, &task, &abort, /*pooled=*/false);
     }
     return Status::OK();
   }
 
   IDLOG_RETURN_NOT_OK(PrebuildIndexes(base_ctx, *tasks));
   std::vector<std::function<void()>> jobs;
-  jobs.reserve(total_parts);
+  jobs.reserve(tasks->size());
   for (RoundTask& task : *tasks) {
     RoundTask* tp = &task;
-    for (RoundPart& part : task.parts) {
-      RoundPart* pp = &part;
-      jobs.push_back([&base_ctx, &abort, tp, pp] {
-        RunPart(base_ctx, *tp, pp, &abort, /*pooled=*/true);
-      });
-    }
+    jobs.push_back([&base_ctx, &abort, tp] {
+      RunTask(base_ctx, tp, &abort, /*pooled=*/true);
+    });
   }
   pool->Run(std::move(jobs));
   return Status::OK();

@@ -21,7 +21,6 @@ const char* FlightEventKindName(FlightEventKind kind) {
     case FlightEventKind::kRunEnd: return "run-end";
     case FlightEventKind::kRoundStart: return "round-start";
     case FlightEventKind::kRoundCommit: return "round-commit";
-    case FlightEventKind::kPartitionCommit: return "partition-commit";
     case FlightEventKind::kIndexBuild: return "index-build";
     case FlightEventKind::kCheckpointSection: return "checkpoint-section";
     case FlightEventKind::kGovernorMemory: return "governor-memory";

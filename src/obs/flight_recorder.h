@@ -14,12 +14,11 @@
 namespace idlog {
 
 /// What a flight-recorder event describes. The payload fields a/b/c are
-/// kind-specific (see the table in docs/INTERNALS.md §14):
-///   kRunStart         label=mode ("seminaive"/"naive"), a=threads, b=partitions
+/// kind-specific:
+///   kRunStart         label="run", a=threads
 ///   kRunEnd           label=status code name, a=ok(1)/failed(0)
 ///   kRoundStart       a=stratum, b=round, c=tasks
 ///   kRoundCommit      a=stratum, b=round, c=new facts this round
-///   kPartitionCommit  label=head predicate, a=partitions, b=inserted, c=round
 ///   kIndexBuild       label=column list ("0,2"), a=rows indexed, b=keys
 ///   kCheckpointSection label=section name ("META".."END"), a=payload bytes
 ///   kGovernorMemory   label="memory", a=bytes charged, b=milestone crossed
@@ -36,7 +35,6 @@ enum class FlightEventKind : uint8_t {
   kRunEnd,
   kRoundStart,
   kRoundCommit,
-  kPartitionCommit,
   kIndexBuild,
   kCheckpointSection,
   kGovernorMemory,

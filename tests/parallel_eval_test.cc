@@ -148,8 +148,7 @@ std::vector<std::string> TraceShape(const TraceSink& sink) {
   return shape;
 }
 
-RunOutcome RunWith(int threads, int partitions,
-                   const std::string& program,
+RunOutcome RunWith(int threads, const std::string& program,
                    const std::vector<std::vector<std::string>>& edb,
                    const std::vector<std::string>& queries) {
   IdlogEngine engine;
@@ -158,7 +157,6 @@ RunOutcome RunWith(int threads, int partitions,
     EXPECT_TRUE(engine.AddRow(row[0], fields).ok());
   }
   engine.SetThreads(threads);
-  engine.SetDeltaPartitions(partitions);
   engine.EnableProfiling(true);
   engine.EnableExplain(true);
   engine.EnableProvenance(true);
@@ -271,8 +269,8 @@ void ExpectEquivalent(const std::string& program,
                       const std::vector<std::vector<std::string>>& edb,
                       const std::vector<std::string>& queries) {
   SCOPED_TRACE(program);
-  RunOutcome serial = RunWith(1, 0, program, edb, queries);
-  RunOutcome parallel = RunWith(4, 0, program, edb, queries);
+  RunOutcome serial = RunWith(1, program, edb, queries);
+  RunOutcome parallel = RunWith(4, program, edb, queries);
   ExpectSameOutcome(serial, parallel);
 }
 
@@ -536,36 +534,29 @@ TEST_P(ParallelCorpus, SerialAndParallelAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelCorpus, ::testing::Range(0, 40));
 
 // --------------------------------------------------------------------
-// Delta-partition sweep: `--partitions K` is, like `--jobs`, a purely
-// physical knob. Every (jobs, partitions) combination must reproduce
-// the jobs=1/partitions=1 run byte for byte — answers, logical stats,
-// profiles, trace shape, EXPLAIN ANALYZE JSON and WHY proofs. Explicit
-// K is honored even in a serial run, so the sweep crosses partitioned
-// execution with and without a worker pool.
+// Jobs sweep: `--jobs N` is a purely physical knob. Every thread count
+// must reproduce the serial run byte for byte — answers, logical
+// stats, profiles, trace shape, EXPLAIN ANALYZE JSON and WHY proofs.
 
-constexpr int kSweepPartitions[] = {1, 2, 3, 8};
-constexpr int kSweepJobs[] = {1, 4};
+constexpr int kSweepJobs[] = {2, 4};
 
 void ExpectSweepMatchesBaseline(
     const std::string& program,
     const std::vector<std::vector<std::string>>& edb,
     const std::vector<std::string>& queries) {
-  RunOutcome baseline = RunWith(1, 1, program, edb, queries);
+  RunOutcome baseline = RunWith(1, program, edb, queries);
   for (int jobs : kSweepJobs) {
-    for (int parts : kSweepPartitions) {
-      if (jobs == 1 && parts == 1) continue;
-      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                   " partitions=" + std::to_string(parts));
-      RunOutcome run = RunWith(jobs, parts, program, edb, queries);
-      ExpectSameOutcome(baseline, run);
-    }
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    RunOutcome run = RunWith(jobs, program, edb, queries);
+    ExpectSameOutcome(baseline, run);
   }
 }
 
 // The E7 bench shape: a single recursive transitive-closure rule with
-// the recursive subgoal outermost, where delta partitioning is the only
-// parallelism available. Branchy edges so partitions are non-trivial.
-TEST(PartitionSweep, SingleRecursiveRuleTransitiveClosure) {
+// the recursive subgoal outermost, so each delta round is one task and
+// the pool has nothing to run beside it. Branchy edges so the closure
+// takes several rounds.
+TEST(ParallelSweep, SingleRecursiveRuleTransitiveClosure) {
   std::vector<std::vector<std::string>> edb;
   for (int i = 0; i < 14; ++i) {
     edb.push_back({"edge", "n" + std::to_string(i),
@@ -581,28 +572,13 @@ TEST(PartitionSweep, SingleRecursiveRuleTransitiveClosure) {
       edb, {"path"});
 }
 
-class PartitionSweepCorpus : public ::testing::TestWithParam<int> {};
-
-TEST_P(PartitionSweepCorpus, AllFanoutsAgree) {
-  uint64_t seed = static_cast<uint64_t>(GetParam());
-  testing_util::CorpusGenerator gen(seed);
-  std::string text = gen.Generate();
-  SCOPED_TRACE(text);
-  ExpectSweepMatchesBaseline(text, testing_util::CorpusEdb(seed),
-                             gen.queries());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PartitionSweepCorpus,
-                         ::testing::Range(0, 40));
-
-// A governor trip mid-way through a partitioned fixpoint is part of the
+// A governor trip mid-way through a parallel fixpoint is part of the
 // determinism contract too: derived-tuple charges happen at Commit in
-// task order, a coordinator-side sequence identical for every jobs and
-// partition setting, so the trip fires at the same logical point and
-// the partial stats match the serial trip exactly.
-TEST(PartitionSweep, GovernorTripMidPartitionedRun) {
-  auto run_tripped = [](int jobs, int parts, Status* st,
-                        EvalStats* stats) {
+// task order, a coordinator-side sequence identical for every jobs
+// setting, so the trip fires at the same logical point and the partial
+// stats match the serial trip exactly.
+TEST(ParallelSweep, GovernorTripMidParallelRun) {
+  auto run_tripped = [](int jobs, Status* st, EvalStats* stats) {
     IdlogEngine engine;
     for (int i = 0; i < 20; ++i) {
       ASSERT_TRUE(engine.AddRow("e", {"n" + std::to_string(i),
@@ -610,9 +586,8 @@ TEST(PartitionSweep, GovernorTripMidPartitionedRun) {
                       .ok());
     }
     engine.SetThreads(jobs);
-    engine.SetDeltaPartitions(parts);
     EvalLimits limits;
-    limits.max_tuples = 25;  // trips inside a later, partitioned round
+    limits.max_tuples = 25;  // trips inside a later delta round
     engine.SetLimits(limits);
     ASSERT_TRUE(engine.LoadProgramText("p(X, Y) :- e(X, Y)."
                                        "p(X, Z) :- p(X, Y), e(Y, Z).")
@@ -622,20 +597,16 @@ TEST(PartitionSweep, GovernorTripMidPartitionedRun) {
   };
   Status serial_st;
   EvalStats serial_stats;
-  run_tripped(1, 1, &serial_st, &serial_stats);
+  run_tripped(1, &serial_st, &serial_stats);
   EXPECT_EQ(serial_st.code(), StatusCode::kResourceExhausted)
       << serial_st.ToString();
   for (int jobs : kSweepJobs) {
-    for (int parts : kSweepPartitions) {
-      if (jobs == 1 && parts == 1) continue;
-      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                   " partitions=" + std::to_string(parts));
-      Status st;
-      EvalStats stats;
-      run_tripped(jobs, parts, &st, &stats);
-      EXPECT_EQ(st.ToString(), serial_st.ToString());
-      ExpectSameStats(serial_stats, stats);
-    }
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    Status st;
+    EvalStats stats;
+    run_tripped(jobs, &st, &stats);
+    EXPECT_EQ(st.ToString(), serial_st.ToString());
+    ExpectSameStats(serial_stats, stats);
   }
 }
 

@@ -8,12 +8,9 @@
 //                                        --jobs 4 is four threads, not
 //                                        four workers plus the caller;
 //                                        0 = auto-detect the hardware,
-//                                        1 = serial)
-//             [--partitions K]          (delta partitions per heavy
-//                                        recursive task; 0 = auto =
-//                                        match --jobs; answers and all
+//                                        1 = serial; answers and all
 //                                        logical output are identical
-//                                        for every K)
+//                                        for every N)
 //             [--explain "v1 v2 ..."]   (derivation tree of one fact,
 //                                        tuple fields only; predicate
 //                                        comes from --query)
@@ -58,7 +55,7 @@
 //                                        bytes, index attribution)
 //             [--db-stats-json FILE]    (idlog-dbstats-v1 JSON — logical
 //                                        fields only, byte-identical
-//                                        across --jobs/--partitions;
+//                                        across --jobs;
 //                                        written on every exit path)
 //             [--flight-recorder FILE]  (idlog-flight-v1 black-box dump;
 //                                        always written when the flag is
@@ -447,7 +444,6 @@ int RunBatch(int argc, char** argv) {
   bool partial = false;
   bool profile = false;
   uint64_t jobs = 1;
-  uint64_t partitions = 0;  // 0 = auto: match the resolved --jobs.
   std::string trace_out;
   std::string metrics_json;
   std::string checkpoint_path;
@@ -577,14 +573,6 @@ int RunBatch(int argc, char** argv) {
         unsigned hw = std::thread::hardware_concurrency();
         jobs = hw >= 1 ? hw : 1;
       }
-    } else if (arg == "--partitions") {
-      auto v = ParseUint64("--partitions", next());
-      if (!v.ok()) return Fail(v.status());
-      if (*v > 4096) {
-        return Fail(Status::InvalidArgument(
-            "--partitions expects 0 (auto) or 1..4096"));
-      }
-      partitions = *v;
     } else if (arg == "--trace-out") {
       const char* v = next();
       if (v == nullptr || *v == '\0') {
@@ -853,7 +841,6 @@ int RunBatch(int argc, char** argv) {
   IdlogEngine engine;
   engine.SetSeminaive(!naive);
   engine.SetThreads(static_cast<int>(jobs));
-  engine.SetDeltaPartitions(static_cast<int>(partitions));
   engine.SetTidBoundPushdown(pushdown);
   engine.SetLimits(limits);
   engine.SetPartialResults(partial);
@@ -1258,7 +1245,7 @@ int main(int argc, char** argv) {
                  "usage: %s                      (interactive)\n"
                  "       %s run PROGRAM.idl --query PRED [--csv REL=FILE]"
                  " [--seed N] [--enumerate] [--stats] [--naive]"
-                 " [--no-tid-pushdown] [--jobs N] [--partitions K]\n"
+                 " [--no-tid-pushdown] [--jobs N]\n"
                  "           [--explain \"v1 v2 ...\"]"
                  " [--why \"pred(c1, ...)\"] [--why-not \"pred(c1, ...)\"]"
                  " [--why-json FILE]\n"

@@ -43,10 +43,11 @@ void RunScale(int persons) {
   }
 
   // DL non-deterministic enumeration.
+  ResourceGovernor states;
+  states.Arm(EvalLimits::TupleBudget(2000000));
   auto t0 = Clock::now();
   auto dl = EnumerateInflationaryAnswers(ManWoman(), db, "man",
-                                         InfLanguage::kDL,
-                                         /*max_states=*/2000000);
+                                         InfLanguage::kDL, &states);
   double dl_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 

@@ -169,14 +169,11 @@ Result<Database> EvaluateChoiceProgram(const Program& program,
 Result<AnswerSet> EnumerateChoiceAnswers(const Program& program,
                                          const Database& database,
                                          const std::string& query_pred,
-                                         uint64_t max_models,
                                          ResourceGovernor* governor) {
-  // Legacy max_models as a governor tuple budget: one "tuple" per
-  // evaluated selection. The inner fixpoints are only governed when an
-  // external governor is supplied — the legacy budget counts
-  // selections, not the tuples each model derives.
+  // Each evaluated selection charges one "tuple" to the governor; the
+  // inner fixpoints are governed too when a governor is supplied. With
+  // none, an unarmed local governor keeps the loop below uniform.
   ResourceGovernor local;
-  ArmLegacyTupleCap(&local, max_models);
   ResourceGovernor* gov = governor != nullptr ? governor : &local;
   gov->set_scope("choice enumeration");
 
@@ -192,8 +189,7 @@ Result<AnswerSet> EnumerateChoiceAnswers(const Program& program,
 
   AnswerSet result;
   while (true) {
-    // Each evaluated selection charges the tuple budget (the legacy
-    // max_models cap when no external governor is installed).
+    // Each evaluated selection charges the tuple budget.
     IDLOG_RETURN_NOT_OK(gov->OnDerived(1, 0));
     // Unflatten digits into per-occurrence selections.
     std::vector<std::vector<size_t>> selection(pc.occurrences.size());

@@ -41,12 +41,12 @@ Result<Database> EvaluateChoiceProgram(const Program& program,
 
 /// Exhaustively enumerates the possible answers of `query_pred` over
 /// all functional-subset selections. Exponential; for small instances
-/// (tests, bench E5 ground truth). `max_models` is a deprecated shim —
-/// a governor tuple budget when `governor` is null; ignored otherwise.
+/// (tests, bench E5 ground truth). With `governor` set, each evaluated
+/// selection charges one unit of its tuple budget and the inner
+/// fixpoints run governed; null means ungoverned.
 Result<AnswerSet> EnumerateChoiceAnswers(const Program& program,
                                          const Database& database,
                                          const std::string& query_pred,
-                                         uint64_t max_models = 1000000,
                                          ResourceGovernor* governor =
                                              nullptr);
 

@@ -15,15 +15,15 @@
 namespace idlog {
 
 struct EnumerateOptions {
-  /// Abort with ResourceExhausted beyond this many tid assignments.
-  /// Deprecated in favour of `governor`, which it is implemented on
-  /// top of; kept so existing call sites keep their cap.
+  /// Abort with ResourceExhausted beyond this many tid assignments,
+  /// with or without a governor.
   uint64_t max_assignments = 1000000;
   bool seminaive = true;
   /// Shared resource governor (deadline, budgets, cancellation). When
   /// set it governs every inner evaluation too, so a Cancel() from
   /// another thread stops a running enumeration within one checkpoint
-  /// interval. Not owned; null falls back to max_assignments only.
+  /// interval. Not owned; null means only max_assignments bounds the
+  /// run.
   ResourceGovernor* governor = nullptr;
 };
 

@@ -59,11 +59,9 @@ Result<DisjunctiveProgram> DisjunctiveFromProgram(const Program& program) {
 
 Result<GroundProgram> GroundDisjunctive(const DisjunctiveProgram& program,
                                         const Database& database,
-                                        uint64_t max_instantiations,
                                         ResourceGovernor* governor) {
-  // Legacy cap as a governor-derived budget when no governor is given.
+  // Unarmed (ungoverned) when no governor is given.
   ResourceGovernor local;
-  ArmLegacyTupleCap(&local, max_instantiations);
   ResourceGovernor* gov = governor != nullptr ? governor : &local;
   gov->set_scope("grounder");
   TraceSpan span(gov->trace_sink(), "ground program", "ground");

@@ -54,13 +54,10 @@ struct GroundProgram {
 ///
 /// Resource governance: with `governor` set, every instantiation
 /// checkpoints against it (deadline, cancellation) and every emitted
-/// ground clause charges the tuple/memory budgets; `max_instantiations`
-/// is then ignored. Without a governor the deprecated
-/// `max_instantiations` cap still applies, implemented as a local
-/// governor tuple budget (ResourceExhausted on overflow either way).
+/// ground clause charges the tuple/memory budgets (ResourceExhausted on
+/// overflow). Null means ungoverned.
 Result<GroundProgram> GroundDisjunctive(const DisjunctiveProgram& program,
                                         const Database& database,
-                                        uint64_t max_instantiations = 1000000,
                                         ResourceGovernor* governor = nullptr);
 
 /// Convenience: converts a plain single-head Program (ordinary atoms,

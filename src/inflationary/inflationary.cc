@@ -339,10 +339,8 @@ Result<Database> EvaluateInflationary(const InfProgram& program,
   std::mt19937_64 rng(options.seed);
   InventionCache inventions(database.symbols(), options.max_invented);
 
-  // Legacy max_steps as a governor iteration budget when no shared
-  // governor is supplied.
+  // Unarmed (ungoverned) when no shared governor is supplied.
   ResourceGovernor local;
-  ArmLegacyIterationCap(&local, options.max_steps);
   ResourceGovernor* gov =
       options.governor != nullptr ? options.governor : &local;
   gov->set_scope("inflationary evaluation");
@@ -385,17 +383,15 @@ Result<AnswerSet> EnumerateInflationaryAnswers(const InfProgram& program,
                                                const Database& database,
                                                const std::string& query_pred,
                                                InfLanguage language,
-                                               uint64_t max_states,
                                                ResourceGovernor* governor) {
   AnswerSet result;
   std::set<State> visited;
   std::vector<State> frontier = {InitialState(database)};
   InventionCache inventions(database.symbols(), /*budget=*/10000);
 
-  // Legacy max_states as a governor tuple budget: one "tuple" per
-  // distinct visited state.
+  // One "tuple" per distinct visited state; unarmed (ungoverned) when
+  // no governor is given.
   ResourceGovernor local;
-  ArmLegacyTupleCap(&local, max_states);
   ResourceGovernor* gov = governor != nullptr ? governor : &local;
   gov->set_scope("inflationary enumeration");
   TraceSpan span(gov->trace_sink(), "inflationary enumeration",

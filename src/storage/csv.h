@@ -33,9 +33,9 @@ Result<std::vector<std::string>> ParseCsvRecord(std::string_view line);
 /// ParseCsvRecord, so a quoted field may hold commas, quotes and '\r'
 /// but never a line break. Blank lines are skipped; with `skip_header`
 /// the first line is dropped. A UTF-8 byte-order mark (EF BB BF) at the
-/// start of the input is not data and is stripped. Fields follow
-/// Database::AddRow: all-digit fields become sort-i values, the rest
-/// are interned as sort-u constants.
+/// start of the input is not data and is stripped. Fields convert by
+/// FieldToValue (storage/database.h): all-digit fields become sort-i
+/// values, the rest are interned as sort-u constants.
 ///
 /// The input is read into one buffer and scanned in place: fields are
 /// views into it (only a field with "" escapes is unescaped, into a

@@ -1,7 +1,5 @@
 #include "storage/database.h"
 
-#include <cctype>
-
 namespace idlog {
 
 Status Database::CreateRelation(const std::string& name, RelationType type) {
@@ -69,30 +67,7 @@ Status Database::AddRow(const std::string& name,
     values = heap_values.data();
   }
   for (size_t k = 0; k < n; ++k) {
-    const std::string_view f = fields[k];
-    bool numeric = !f.empty();
-    for (char c : f) {
-      if (!std::isdigit(static_cast<unsigned char>(c))) {
-        numeric = false;
-        break;
-      }
-    }
-    if (!numeric) {
-      values[k] = Value::Symbol(symbols_->Intern(f));
-      continue;
-    }
-    // Reject fields past int64 range (19 significant digits, compared
-    // lexicographically at 19); what passes cannot overflow below.
-    size_t nz = f.find_first_not_of('0');
-    size_t digits = nz == std::string_view::npos ? 0 : f.size() - nz;
-    if (digits > 19 ||
-        (digits == 19 && f.compare(nz, 19, "9223372036854775807") > 0)) {
-      return Status::ParseError("integer field '" + std::string(f) +
-                                "' overflows 64-bit range");
-    }
-    uint64_t number = 0;
-    for (char c : f) number = number * 10 + static_cast<uint64_t>(c - '0');
-    values[k] = Value::Number(static_cast<int64_t>(number));
+    IDLOG_RETURN_NOT_OK(FieldToValue(fields[k], symbols_, &values[k]));
   }
   return AddValues(name, TupleView(values, n));
 }

@@ -1,6 +1,7 @@
 #ifndef IDLOG_STORAGE_DATABASE_H_
 #define IDLOG_STORAGE_DATABASE_H_
 
+#include <cctype>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -79,6 +80,39 @@ class SymbolSet {
   size_t size_ = 0;
 };
 
+/// The one spelling rule for a constant written as text — CSV fields,
+/// REPL facts, update-script atoms and the CLI's --why/--explain
+/// arguments: a non-empty all-digit field is a sort-i number (leading
+/// zeros allowed; ParseError past 2^63 - 1), any other field interns as
+/// a sort-u symbol. Inline because the CSV loader calls it per field.
+inline Status FieldToValue(std::string_view f, SymbolTable* symbols,
+                           Value* out) {
+  bool numeric = !f.empty();
+  for (char c : f) {
+    if (!std::isdigit(static_cast<unsigned char>(c))) {
+      numeric = false;
+      break;
+    }
+  }
+  if (!numeric) {
+    *out = Value::Symbol(symbols->Intern(f));
+    return Status::OK();
+  }
+  // Reject fields past int64 range (19 significant digits, compared
+  // lexicographically at 19); what passes cannot overflow below.
+  size_t nz = f.find_first_not_of('0');
+  size_t digits = nz == std::string_view::npos ? 0 : f.size() - nz;
+  if (digits > 19 ||
+      (digits == 19 && f.compare(nz, 19, "9223372036854775807") > 0)) {
+    return Status::ParseError("integer field '" + std::string(f) +
+                              "' overflows 64-bit range");
+  }
+  uint64_t number = 0;
+  for (char c : f) number = number * 10 + static_cast<uint64_t>(c - '0');
+  *out = Value::Number(static_cast<int64_t>(number));
+  return Status::OK();
+}
+
 /// An extensional database: named typed relations over a shared symbol
 /// table, plus the explicit uninterpreted domain D of Section 2.1.
 ///
@@ -114,9 +148,8 @@ class Database {
   }
 
   /// Adds one row of `n` text fields, creating the relation as
-  /// AddTuple does. A non-empty all-digit field becomes a sort-i value
-  /// (ParseError past 2^63 - 1); any other field is interned as a
-  /// sort-u symbol, in field order. Digits are parsed in place and the
+  /// AddTuple does. Each field converts by FieldToValue, in field
+  /// order. Digits are parsed in place and the
   /// row is built on the stack, so a row costs no heap allocation of
   /// its own — the CSV loader calls this once per record.
   Status AddRow(const std::string& name, const std::string_view* fields,

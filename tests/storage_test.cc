@@ -268,6 +268,43 @@ TEST(Database, CreateRelationConflict) {
             StatusCode::kTypeError);
 }
 
+TEST(FieldToValue, DigitsAreNumbersUpToInt64Max) {
+  SymbolTable s;
+  Value v;
+  ASSERT_TRUE(FieldToValue("9223372036854775807", &s, &v).ok());
+  EXPECT_EQ(v, Value::Number(std::numeric_limits<int64_t>::max()));
+  Status past = FieldToValue("9223372036854775808", &s, &v);
+  EXPECT_EQ(past.code(), StatusCode::kParseError);
+  EXPECT_NE(past.message().find("overflows"), std::string::npos);
+  EXPECT_EQ(FieldToValue("99999999999999999999", &s, &v).code(),
+            StatusCode::kParseError);
+  // Leading zeros do not count against the 19 significant digits.
+  ASSERT_TRUE(FieldToValue("007", &s, &v).ok());
+  EXPECT_EQ(v, Value::Number(7));
+  ASSERT_TRUE(FieldToValue("0009223372036854775807", &s, &v).ok());
+  EXPECT_EQ(v, Value::Number(std::numeric_limits<int64_t>::max()));
+  ASSERT_TRUE(FieldToValue("0000", &s, &v).ok());
+  EXPECT_EQ(v, Value::Number(0));
+  EXPECT_EQ(s.size(), 0u);  // No number interned a symbol.
+}
+
+TEST(FieldToValue, EverythingElseIsASymbol) {
+  SymbolTable s;
+  for (const char* field : {"ann", "-5", "1e3", "12a", " 7", ""}) {
+    Value v;
+    ASSERT_TRUE(FieldToValue(field, &s, &v).ok()) << field;
+    ASSERT_TRUE(v.is_symbol()) << field;
+    EXPECT_EQ(s.NameOf(v.symbol()), field);
+  }
+  // AddRow applies the same rule and refuses the overflowing field.
+  Database db(&s);
+  EXPECT_EQ(db.AddRow("r", {"a", "9223372036854775808"}).code(),
+            StatusCode::kParseError);
+  ASSERT_TRUE(db.AddRow("r", {"a", "0042"}).ok());
+  EXPECT_TRUE((*db.Get("r"))->Contains(
+      Tuple{Value::Symbol(s.Lookup("a")), Value::Number(42)}));
+}
+
 // --------------------------------------------------------------------
 // Packed values.
 

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <numeric>
 
+#include "common/str_util.h"
 #include "core/aggregates.h"
 #include "common/symbol_table.h"
 #include "util.h"
@@ -20,7 +21,7 @@ using Clock = std::chrono::steady_clock;
 Relation MakeValues(SymbolTable* symbols, int n) {
   Relation r(TypeFromString("01"));
   for (int i = 0; i < n; ++i) {
-    r.Insert({Value::Symbol(symbols->Intern("k" + std::to_string(i))),
+    r.Insert({Value::Symbol(symbols->Intern(Numbered("k", i))),
               Value::Number(i % 97)});
   }
   return r;

@@ -8,6 +8,7 @@
 #include "ast/printer.h"
 #include "choice/choice_semantics.h"
 #include "choice/choice_to_idlog.h"
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "parser/parser.h"
 #include "util.h"
@@ -28,8 +29,8 @@ void FillOffices(Database* db, int depts, int per_dept) {
   for (int d = 0; d < depts; ++d) {
     for (int e = 0; e < per_dept; ++e) {
       (void)db->AddRow("office",
-                       {"e" + std::to_string(d) + "_" + std::to_string(e),
-                        "c" + std::to_string(e % 7)});
+                       {Numbered("e", d) + "_" + std::to_string(e),
+                        Numbered("c", e % 7)});
     }
   }
 }

@@ -14,6 +14,7 @@
 #include <string>
 #include <thread>
 
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "obs/flight_recorder.h"
 #include "util.h"
@@ -58,7 +59,7 @@ void FillGraph(Database* db, Shape shape, int nodes, int edges,
     case Shape::kCycle:
       bench_util::MakeChainGraph(db, "edge", nodes);
       (void)db->AddRow("edge",
-                       {"n" + std::to_string(nodes - 1), "n0"});
+                       {Numbered("n", nodes - 1), "n0"});
       break;
   }
 }
@@ -124,13 +125,13 @@ ParallelRun RunWideStratum(int jobs, int fanout) {
   std::mt19937_64 rng(29);
   std::string program;
   for (int k = 0; k < kParallelRules; ++k) {
-    std::string e = "e" + std::to_string(k);
-    std::string f = "f" + std::to_string(k);
+    std::string e = Numbered("e", k);
+    std::string f = Numbered("f", k);
     for (int i = 0; i < fanout; ++i) {
-      (void)engine.AddRow(e, {"a" + std::to_string(rng() % (fanout / 4)),
-                              "m" + std::to_string(rng() % 40)});
-      (void)engine.AddRow(f, {"m" + std::to_string(rng() % 40),
-                              "b" + std::to_string(rng() % (fanout / 4))});
+      (void)engine.AddRow(e, {Numbered("a", rng() % (fanout / 4)),
+                              Numbered("m", rng() % 40)});
+      (void)engine.AddRow(f, {Numbered("m", rng() % 40),
+                              Numbered("b", rng() % (fanout / 4))});
     }
     program += "q(X, Y) :- " + e + "(X, Z), " + f + "(Z, Y).";
   }
@@ -172,11 +173,11 @@ void RunParallelSection() {
          fmt(serial.ms), fmt(parallel.ms),
          fmt(serial.ms / (parallel.ms > 0 ? parallel.ms : 1e-9)) + "x",
          std::to_string(serial.tuples), equal ? "yes" : "NO", "-"});
-    profiles.emplace_back("jobs1_fanout" + std::to_string(fanout),
+    profiles.emplace_back(Numbered("jobs1_fanout", fanout),
                           serial.profile);
-    profiles.emplace_back("jobs4_fanout" + std::to_string(fanout),
+    profiles.emplace_back(Numbered("jobs4_fanout", fanout),
                           parallel.profile);
-    std::string tag = "fanout" + std::to_string(fanout);
+    std::string tag = Numbered("fanout", fanout);
     Core("E4b_parallel", tag + ".answer",
          static_cast<double>(serial.answer));
     Core("E4b_parallel", tag + ".jobs1_ms", serial.ms);
@@ -234,11 +235,11 @@ void RunSingleRuleSection() {
          std::to_string(serial.answer), fmt(serial.ms), fmt(parallel.ms),
          fmt(serial.ms / (parallel.ms > 0 ? parallel.ms : 1e-9)) + "x",
          std::to_string(serial.tuples), equal ? "yes" : "NO", "-"});
-    profiles.emplace_back("tc_jobs1_n" + std::to_string(nodes),
+    profiles.emplace_back(Numbered("tc_jobs1_n", nodes),
                           serial.profile);
-    profiles.emplace_back("tc_jobsN_n" + std::to_string(nodes),
+    profiles.emplace_back(Numbered("tc_jobsN_n", nodes),
                           parallel.profile);
-    std::string tag = "n" + std::to_string(nodes);
+    std::string tag = Numbered("n", nodes);
     Core("E7_single_rule", tag + ".answer",
          static_cast<double>(serial.answer));
     Core("E7_single_rule", tag + ".jobs1_ms", serial.ms);
@@ -515,12 +516,12 @@ int main(int argc, char** argv) {
         idlog::RunTc(idlog::Shape::kRandom, nodes, edges, true, true);
     auto fmt = [](double v) { return std::to_string(v).substr(0, 7); };
     idlog::bench_util::PrintRow(
-        {"random " + std::to_string(nodes),
+        {idlog::Numbered("random ", nodes),
          std::to_string(indexed.answer), fmt(scan.ms),
          std::to_string(scan.tuples), fmt(indexed.ms),
          std::to_string(indexed.tuples),
          fmt(scan.ms / (indexed.ms > 0 ? indexed.ms : 1e-9)) + "x", "-"});
-    std::string tag = "random" + std::to_string(nodes);
+    std::string tag = idlog::Numbered("random", nodes);
     idlog::Core("E4_index", tag + ".answer",
                 static_cast<double>(indexed.answer));
     idlog::Core("E4_index", tag + ".noindex_ms", scan.ms);

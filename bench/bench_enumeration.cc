@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/str_util.h"
 #include "core/answer_enumerator.h"
 #include "parser/parser.h"
 #include "storage/database.h"
@@ -21,7 +22,7 @@ void RunGuess(int persons) {
   SymbolTable s;
   Database db(&s);
   for (int i = 0; i < persons; ++i) {
-    (void)db.AddRow("person", {"p" + std::to_string(i)});
+    (void)db.AddRow("person", {Numbered("p", i)});
   }
   auto prog = ParseProgram(
       "sex_guess(X, male) :- person(X)."
@@ -54,7 +55,7 @@ void RunSampling(int group_size) {
   SymbolTable s;
   Database db(&s);
   for (int i = 0; i < group_size; ++i) {
-    (void)db.AddRow("emp", {"e" + std::to_string(i), "d"});
+    (void)db.AddRow("emp", {Numbered("e", i), "d"});
   }
   auto prog = ParseProgram(
       "two(N) :- emp[2](N, D, T), T < 2.", &s);
@@ -72,7 +73,7 @@ void RunSampling(int group_size) {
   uint64_t expected =
       static_cast<uint64_t>(group_size) * (group_size - 1) / 2;
   bench_util::PrintRow(
-      {"pick2 of " + std::to_string(group_size),
+      {Numbered("pick2 of ", group_size),
        std::to_string(answers->assignments_tried),
        std::to_string(answers->answers.size()), std::to_string(expected),
        answers->answers.size() == expected ? "yes" : "NO",

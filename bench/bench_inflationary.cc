@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "common/str_util.h"
 #include "core/answer_enumerator.h"
 #include "inflationary/inflationary.h"
 #include "parser/parser.h"
@@ -39,7 +40,7 @@ void RunScale(int persons) {
   SymbolTable s;
   Database db(&s);
   for (int i = 0; i < persons; ++i) {
-    (void)db.AddRow("person", {"p" + std::to_string(i)});
+    (void)db.AddRow("person", {Numbered("p", i)});
   }
 
   // DL non-deterministic enumeration.

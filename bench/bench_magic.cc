@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "opt/magic_sets.h"
 #include "parser/parser.h"
@@ -25,8 +26,8 @@ void FillChains(Database* db, int components, int chain_len) {
   for (int c = 0; c < components; ++c) {
     for (int i = 0; i + 1 < chain_len; ++i) {
       (void)db->AddRow("edge",
-                       {"c" + std::to_string(c) + "_" + std::to_string(i),
-                        "c" + std::to_string(c) + "_" +
+                       {Numbered("c", c) + "_" + std::to_string(i),
+                        Numbered("c", c) + "_" +
                             std::to_string(i + 1)});
     }
   }

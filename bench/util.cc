@@ -6,6 +6,7 @@
 #include <map>
 #include <thread>
 
+#include "common/str_util.h"
 #include "obs/metrics.h"
 
 namespace idlog {
@@ -13,9 +14,9 @@ namespace bench_util {
 
 void MakeEmpDatabase(Database* db, int depts, int emps_per_dept) {
   for (int d = 0; d < depts; ++d) {
-    std::string dept = "d" + std::to_string(d);
+    std::string dept = Numbered("d", d);
     for (int e = 0; e < emps_per_dept; ++e) {
-      std::string emp = "e" + std::to_string(d) + "_" + std::to_string(e);
+      std::string emp = Numbered("e", d) + "_" + std::to_string(e);
       (void)db->AddRow("emp", {emp, dept});
     }
   }
@@ -26,16 +27,16 @@ void MakeRandomGraph(Database* db, const std::string& name, int nodes,
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<int> dist(0, nodes - 1);
   for (int i = 0; i < edges; ++i) {
-    std::string from = "n" + std::to_string(dist(rng));
-    std::string to = "n" + std::to_string(dist(rng));
+    std::string from = Numbered("n", dist(rng));
+    std::string to = Numbered("n", dist(rng));
     (void)db->AddRow(name, {from, to});
   }
 }
 
 void MakeChainGraph(Database* db, const std::string& name, int nodes) {
   for (int i = 0; i + 1 < nodes; ++i) {
-    (void)db->AddRow(name, {"n" + std::to_string(i),
-                            "n" + std::to_string(i + 1)});
+    (void)db->AddRow(name, {Numbered("n", i),
+                            Numbered("n", i + 1)});
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "ast/printer.h"
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "opt/adornment.h"
 #include "opt/id_rewrite.h"
@@ -48,8 +49,8 @@ int main() {
     idlog::IdlogEngine engine;
     for (int i = 0; i < 30; ++i) {
       for (int j = 0; j < 30; j += (i % 3) + 1) {
-        (void)engine.AddRow("p", {"n" + std::to_string(i),
-                                  "n" + std::to_string(j)});
+        (void)engine.AddRow("p", {idlog::Numbered("n", i),
+                                  idlog::Numbered("n", j)});
       }
     }
     idlog::Status st =

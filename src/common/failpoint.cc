@@ -21,7 +21,7 @@ const std::vector<std::string>& Failpoints::Catalog() {
       new std::vector<std::string>{
           "csv.load.open",           // CSV file open
           "csv.load.row",            // per-row CSV ingestion
-          "engine.checkpoint.frame", // round-boundary frame serialization
+          "engine.checkpoint.frame", // stratum-entry/completed frame write
           "eval.emit.insert",        // staged insert of a derived fact
           "eval.index.build",        // column-index (re)build for a scan
           "exec.round.task",         // parallel round task boundary

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "ast/program_builder.h"
+#include "common/str_util.h"
 #include "common/symbol_table.h"
 #include "eval/engine_impl.h"
 #include "storage/database.h"
@@ -39,12 +40,15 @@ Result<Relation> RunAggregateProgram(
   return *answer;
 }
 
+/// The variable X<col+1> standing for column `col`.
+Term ColumnVar(int col) {
+  return Term::Var(Numbered("X", col + 1));
+}
+
 /// Fresh variables X1..Xn for the columns of `rel`.
 std::vector<Term> ColumnVars(const Relation& rel) {
   std::vector<Term> vars;
-  for (int i = 0; i < rel.arity(); ++i) {
-    vars.push_back(Term::Var("X" + std::to_string(i + 1)));
-  }
+  for (int i = 0; i < rel.arity(); ++i) vars.push_back(ColumnVar(i));
   return vars;
 }
 
@@ -92,7 +96,7 @@ Result<Relation> GroupCountViaTids(const Relation& rel,
     id_args.push_back(b->V("T"));
     std::vector<Term> head;
     for (int c : group_cols) {
-      head.push_back(Term::Var("X" + std::to_string(c + 1)));
+      head.push_back(ColumnVar(c));
     }
     std::vector<Term> has_head = head;
     has_head.push_back(b->V("T"));
@@ -125,7 +129,7 @@ Result<int64_t> Extremum(const Relation& rel, int col, bool minimum) {
 
   auto build = [&](ProgramBuilder* b) {
     std::vector<Term> vars = ColumnVars(rel);
-    Term v = Term::Var("X" + std::to_string(col + 1));
+    Term v = ColumnVar(col);
     b->AddRule(Atom::Ordinary("val", {v}),
                {Literal::Pos(Atom::Ordinary("r", vars))});
     // beaten(V) :- val(V), val(W), W < V   (or W > V for max).
@@ -173,7 +177,7 @@ Result<int64_t> SumViaTids(const Relation& rel, int col) {
     // order. The fold accumulates along succ.
     std::vector<Term> id_args = ColumnVars(rel);
     id_args.push_back(b->V("I"));
-    Term v = Term::Var("X" + std::to_string(col + 1));
+    Term v = ColumnVar(col);
     b->AddRule(Atom::Ordinary("item", {b->V("I"), v}),
                {Literal::Pos(Atom::Id("r", {}, id_args))});
     b->AddRule(Atom::Ordinary("acc", {b->N(0), b->V("V")}),

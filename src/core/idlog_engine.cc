@@ -184,9 +184,8 @@ void IdlogEngine::SetLimits(const EvalLimits& limits) {
   ran_ = false;
 }
 
-void IdlogEngine::SetCheckpoint(std::string path, uint64_t every_rounds) {
+void IdlogEngine::SetCheckpoint(std::string path) {
   checkpoint_path_ = std::move(path);
-  checkpoint_every_ = every_rounds < 1 ? 1 : every_rounds;
 }
 
 SnapshotConfig IdlogEngine::CurrentConfig() const {
@@ -211,7 +210,6 @@ SnapshotView IdlogEngine::CurrentView(
   view.database = &database_;
   view.derived = &impl_->derived();
   view.id_relations = &impl_->id_relations();
-  view.delta = nullptr;
   view.stats = &impl_->stats();
   view.analysis = impl_->explain_enabled() ? &impl_->plan_analysis() : nullptr;
   view.profile = impl_->profiling_enabled() ? &impl_->profile() : nullptr;
@@ -226,30 +224,13 @@ std::string IdlogEngine::SerializeCurrentState(
   return SerializeSnapshot(CurrentView(progress));
 }
 
-Status IdlogEngine::OnCheckpointFrame(
-    const FixpointFrame& frame,
-    const std::map<std::string, Relation>& delta) {
+Status IdlogEngine::WriteCheckpointFrame(const SnapshotProgress& progress) {
   IDLOG_FAILPOINT("engine.checkpoint.frame");
-  SnapshotView view;
-  view.symbols = &symbols_;
-  view.database = &database_;
-  view.derived = &impl_->derived();
-  view.id_relations = &impl_->id_relations();
-  view.delta = frame.in_stratum ? &delta : nullptr;
-  view.stats = &impl_->stats();
-  view.analysis = impl_->explain_enabled() ? &impl_->plan_analysis() : nullptr;
-  view.profile = impl_->profiling_enabled() ? &impl_->profile() : nullptr;
-  view.provenance = provenance_ ? &impl_->provenance() : nullptr;
-  view.config = CurrentConfig();
-  view.progress.completed = frame.completed;
-  view.progress.stratum = frame.stratum;
-  view.progress.round = frame.round;
-  view.progress.in_stratum = frame.in_stratum;
-  last_frame_ = SerializeSnapshot(view);
-  if (++frames_since_write_ >= checkpoint_every_) {
-    frames_since_write_ = 0;
-    return WriteFileAtomic(checkpoint_path_, last_frame_);
-  }
+  std::string frame = SerializeCurrentState(progress);
+  IDLOG_RETURN_NOT_OK(WriteFileAtomic(checkpoint_path_, frame));
+  // Only an entry frame is kept: after a clean run SaveCheckpoint()
+  // serializes the finished model itself.
+  if (!progress.completed) last_frame_ = std::move(frame);
   return Status::OK();
 }
 
@@ -263,7 +244,7 @@ Status IdlogEngine::SaveCheckpoint(const std::string& path) {
     return WriteFileAtomic(path, SerializeCurrentState(done));
   }
   if (!last_frame_.empty()) {
-    // Last consistent round boundary of the (tripped or in-flight) run.
+    // Entry frame of the stratum the tripped run stopped in.
     return WriteFileAtomic(path, last_frame_);
   }
   if (!ran_) {
@@ -283,7 +264,7 @@ Status IdlogEngine::SaveCheckpoint(const std::string& path) {
     return WriteFileAtomic(path, SerializeSnapshot(view));
   }
   return Status::InvalidArgument(
-      "the tripped run was not checkpointing, so no consistent round "
+      "the tripped run was not checkpointing, so no stratum-boundary "
       "frame exists; arm SetCheckpoint() before Run() to make trips "
       "resumable");
 }
@@ -354,7 +335,6 @@ Status IdlogEngine::Run() {
     EvalResumeState state;
     state.derived = std::move(snap->derived);
     state.id_relations = std::move(snap->id_relations);
-    state.delta = std::move(snap->delta);
     state.stats = snap->stats;
     state.has_analysis = snap->has_analysis;
     state.analysis = std::move(snap->analysis);
@@ -363,23 +343,20 @@ Status IdlogEngine::Run() {
     state.has_provenance = snap->has_provenance;
     state.provenance = std::move(snap->provenance);
     state.stratum = snap->progress.stratum;
-    state.round = snap->progress.round;
-    state.in_stratum = snap->progress.in_stratum;
     impl_->InstallResumeState(std::move(state));
     // A completed snapshot resumes at stratum == num_strata, so the
     // Evaluate() below adopts the finished model without doing work.
   }
   if (!checkpoint_path_.empty()) {
-    impl_->set_checkpoint_hook(
-        [this](const FixpointFrame& frame,
-               const std::map<std::string, Relation>& delta) {
-          return OnCheckpointFrame(frame, delta);
-        });
+    impl_->set_checkpoint_hook([this](int stratum) {
+      SnapshotProgress entry;
+      entry.stratum = stratum;
+      return WriteCheckpointFrame(entry);
+    });
   } else {
     impl_->set_checkpoint_hook(nullptr);
   }
   last_frame_.clear();
-  frames_since_write_ = 0;
   // Arm per run: the deadline counts from here, and a trip or Cancel()
   // from a previous run does not poison this one.
   governor_.Arm(limits_);
@@ -392,18 +369,14 @@ Status IdlogEngine::Run() {
     FlightRecorder::Record(FlightEventKind::kRunEnd, "failure",
                            static_cast<int64_t>(st.code()));
     DumpFlightRecorder();
-    // Durability on the way down: put the last consistent frame (if
-    // any) on disk so the run is resumable past this failure.
-    Status final_write = Status::OK();
-    if (!checkpoint_path_.empty() && !last_frame_.empty()) {
-      final_write = WriteFileAtomic(checkpoint_path_, last_frame_);
-    }
+    // With checkpointing armed, the interrupted stratum's entry frame
+    // is already on disk: it was written when the stratum began.
     if (partial_results_ && st.code() == StatusCode::kResourceExhausted) {
       // Keep the model computed so far queryable; the diagnostic is
       // available via last_trip().
       last_trip_ = std::move(st);
       ran_ = true;
-      return final_write;
+      return Status::OK();
     }
     return st;
   }
@@ -414,7 +387,7 @@ Status IdlogEngine::Run() {
     SnapshotProgress done;
     done.completed = true;
     done.stratum = impl_->stratification().num_strata;
-    return WriteFileAtomic(checkpoint_path_, SerializeCurrentState(done));
+    return WriteCheckpointFrame(done);
   }
   return Status::OK();
 }

@@ -127,27 +127,31 @@ class IdlogEngine {
   /// OK if the run completed within budget.
   const Status& last_trip() const { return last_trip_; }
 
-  /// Arms durable round-boundary checkpointing for subsequent Run()s:
-  /// at every fixpoint round boundary a consistent `idlog-snap-v2`
-  /// frame is serialized, and every `every_rounds`-th frame is written
-  /// atomically to `path` (plus the last frame when a governor trips or
-  /// the evaluation fails, and a final completed frame on success).
-  /// An empty path disarms. `every_rounds` < 1 clamps to 1.
-  void SetCheckpoint(std::string path, uint64_t every_rounds = 1);
+  /// Arms durable checkpointing at stratum boundaries for subsequent
+  /// Run()s: at the entry of every stratum, before its ID-relations are
+  /// drawn, an `idlog-snap-v2` frame is written atomically to `path`,
+  /// and a completed frame follows on success — num_strata + 1 frames
+  /// per run. A trip or failure leaves the interrupted stratum's frame
+  /// on disk; resuming it evaluates that stratum again from its start.
+  /// An empty path disarms.
+  void SetCheckpoint(std::string path);
   const std::string& checkpoint_path() const { return checkpoint_path_; }
 
   /// Writes a snapshot of the engine to `path` on demand: the finished
-  /// model after a clean Run(), the last consistent round frame after a
-  /// trip under SetCheckpoint(), or a cold-start frame (program config
-  /// + database, no progress) before any run. A tripped run without
-  /// checkpointing armed has no consistent frame and is an error.
+  /// model after a clean Run(), the interrupted stratum's entry frame
+  /// after a trip under SetCheckpoint(), or a cold-start frame (program
+  /// config + database, no progress) before any run. A tripped run
+  /// without checkpointing armed has no consistent frame and is an
+  /// error.
   Status SaveCheckpoint(const std::string& path);
 
   /// Restores the snapshot at `path` into this engine, which must be
   /// fresh (no program loaded, empty database). The caller then loads
   /// the *same* program text — guarded by a program hash — after which
-  /// Run() continues the checkpointed fixpoint exactly where it
-  /// stopped (or adopts the finished model without re-evaluating).
+  /// Run() evaluates from the checkpointed stratum on, drawing the same
+  /// tids the interrupted run drew (or adopts the finished model without
+  /// re-evaluating). A mid-stratum frame written by an earlier build is
+  /// refused with InvalidArgument naming its snapshot version.
   /// Fixpoint-content switches (semi-naive, tid-bound pushdown, index
   /// use) and the tid-assigner state are adopted from the snapshot;
   /// thread count stays caller-chosen, as it never changes answers.
@@ -396,8 +400,9 @@ class IdlogEngine {
   SnapshotConfig CurrentConfig() const;
   SnapshotView CurrentView(const SnapshotProgress& progress) const;
   std::string SerializeCurrentState(const SnapshotProgress& progress) const;
-  Status OnCheckpointFrame(const FixpointFrame& frame,
-                           const std::map<std::string, Relation>& delta);
+  /// Writes a checkpoint frame at `progress` atomically to
+  /// checkpoint_path_, keeping a stratum-entry frame in last_frame_.
+  Status WriteCheckpointFrame(const SnapshotProgress& progress);
   Status RestoreAssigner(const SnapshotConfig& config);
   /// Restores a decoded snapshot's symbols/EDB/config into this (fresh)
   /// engine and stages the rest for the matching LoadProgram + Run.
@@ -439,9 +444,7 @@ class IdlogEngine {
 
   std::string flight_dump_path_;      ///< Empty: no dump-on-failure.
   std::string checkpoint_path_;       ///< Empty: checkpointing off.
-  uint64_t checkpoint_every_ = 1;     ///< Write cadence in round frames.
-  uint64_t frames_since_write_ = 0;
-  std::string last_frame_;            ///< Last serialized round frame.
+  std::string last_frame_;            ///< Last entry frame of this Run().
   uint64_t program_hash_ = 0;         ///< FNV-1a of the printed program.
   /// Decoded snapshot awaiting the matching LoadProgram + Run.
   std::unique_ptr<SnapshotData> pending_resume_;

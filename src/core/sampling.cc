@@ -1,6 +1,7 @@
 #include "core/sampling.h"
 
 #include "ast/program_builder.h"
+#include "common/str_util.h"
 #include "common/symbol_table.h"
 #include "eval/engine_impl.h"
 #include "storage/database.h"
@@ -45,7 +46,7 @@ std::string SamplingProgramText(const std::string& relation_name, int arity,
   }
   body += "](";
   for (int i = 0; i < arity; ++i) {
-    std::string var = "X" + std::to_string(i + 1);
+    std::string var = Numbered("X", i + 1);
     if (i > 0) head += ", ";
     head += var;
     body += var + ", ";

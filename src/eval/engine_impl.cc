@@ -138,19 +138,16 @@ void EngineImpl::InstallResumeState(EvalResumeState state) {
   } else {
     provenance_.Clear();
   }
-  pending_resume_ = std::make_unique<PendingResume>();
-  pending_resume_->delta = std::move(state.delta);
-  pending_resume_->stratum = state.stratum;
-  pending_resume_->round = state.round;
-  pending_resume_->in_stratum = state.in_stratum;
+  pending_resume_stratum_ = state.stratum;
 }
 
 Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
   if (!prepared_) {
     return Status::InvalidArgument("Prepare() the engine before Evaluate()");
   }
-  std::unique_ptr<PendingResume> resume = std::move(pending_resume_);
-  if (resume == nullptr) {
+  const std::optional<int> resume_stratum = pending_resume_stratum_;
+  pending_resume_stratum_.reset();
+  if (!resume_stratum.has_value()) {
     derived_.clear();
     id_relations_.clear();
     index_caches_.clear();
@@ -297,20 +294,15 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
   // later trip never dereferences a destroyed engine.
   GovernorScope governor_scope(governor_, &stats_, "stratum fixpoint");
 
-  const int start_stratum = resume != nullptr ? resume->stratum : 0;
-  for (int s = start_stratum; s < strat_.num_strata; ++s) {
-    // A mid-stratum resume re-enters the checkpointed stratum: its
-    // entry was already counted before the frame was cut, and its
-    // pre-checkpoint rounds (0..round) belong to this stratum's profile
-    // row even though this Evaluate() did not run them.
-    const bool mid_stratum_resume =
-        resume != nullptr && resume->in_stratum && s == resume->stratum;
-    if (!mid_stratum_resume) ++stats_.strata_evaluated;
+  for (int s = resume_stratum.value_or(0); s < strat_.num_strata; ++s) {
+    // Stratum entry is the checkpoint cut: strata below are complete
+    // and this one's tids are not drawn yet.
+    if (checkpoint_hook_ != nullptr) IDLOG_RETURN_NOT_OK(checkpoint_hook_(s));
+    ++stats_.strata_evaluated;
     ctx.stratum = s;
     TraceSpan stratum_span(trace_, "stratum " + std::to_string(s),
                            "stratum");
-    uint64_t rounds_before = stats_.iterations;
-    if (mid_stratum_resume) rounds_before -= resume->round + 1;
+    const uint64_t rounds_before = stats_.iterations;
     const uint64_t inserted_before = stats_.facts_inserted;
     auto stratum_t0 = std::chrono::steady_clock::now();
     if (governor_ != nullptr) {
@@ -338,39 +330,10 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
       stratum_plans.push_back(&plans_[static_cast<size_t>(clause_idx)]);
       stratum_preds.insert(plans_[static_cast<size_t>(clause_idx)].head_pred);
     }
-    // The checkpointer sees every round boundary as a resumable frame:
-    // mid-stratum boundaries carry (stratum, round, delta); the
-    // fixpoint boundary advances to the next stratum (and marks the
-    // whole run complete after the last one).
-    RoundBoundaryHook on_round = nullptr;
-    if (checkpoint_hook_ != nullptr) {
-      on_round = [this, s](uint64_t round, bool fixpoint,
-                           const std::map<std::string, Relation>& delta)
-          -> Status {
-        FixpointFrame frame;
-        if (fixpoint) {
-          frame.stratum = s + 1;
-          frame.completed = s + 1 == strat_.num_strata;
-        } else {
-          frame.stratum = s;
-          frame.round = round;
-          frame.in_stratum = true;
-        }
-        static const std::map<std::string, Relation> kNoDelta;
-        return checkpoint_hook_(frame, fixpoint ? kNoDelta : delta);
-      };
-    }
-
-    StratumResume stratum_resume;
-    if (mid_stratum_resume) {
-      stratum_resume.round = resume->round;
-      stratum_resume.delta = std::move(resume->delta);
-    }
     Status stratum_status = Status::OK();
     if (!stratum_plans.empty()) {
-      stratum_status = EvaluateStratum(
-          stratum_plans, stratum_preds, ctx, &derived_, seminaive,
-          mid_stratum_resume ? &stratum_resume : nullptr, on_round);
+      stratum_status = EvaluateStratum(stratum_plans, stratum_preds, ctx,
+                                       &derived_, seminaive);
     }
     if (profiling_) {
       StratumProfile sp;
@@ -505,9 +468,11 @@ Status EngineImpl::EvaluateIncremental(
 
   // `seed` accumulates every externally-visible change as strata run:
   // the EDB insertions up front, then each stratum's own growth, so a
-  // later stratum differentiates on everything below it at once.
-  std::map<std::string, Relation> seed = changed;
-  std::set<std::string> seed_preds = tainted;  // includes downstream IDBs
+  // later stratum differentiates on everything below it at once. Its
+  // predicates start as the taint closure (downstream IDBs included).
+  StratumResume seed;
+  seed.delta = changed;
+  seed.preds = tainted;
   for (int s = 0; s < strat_.num_strata; ++s) {
     std::vector<const RulePlan*> stratum_plans;
     std::set<std::string> stratum_preds;
@@ -517,8 +482,8 @@ Status EngineImpl::EvaluateIncremental(
       stratum_plans.push_back(&plan);
       stratum_preds.insert(plan.head_pred);
       for (int step : plan.positive_scan_steps) {
-        if (seed.count(plan.steps[static_cast<size_t>(step)].predicate) >
-            0) {
+        if (seed.delta.count(
+                plan.steps[static_cast<size_t>(step)].predicate) > 0) {
           touches_seed = true;
         }
       }
@@ -538,28 +503,27 @@ Status EngineImpl::EvaluateIncremental(
       governor_->set_stratum(s);
       IDLOG_RETURN_NOT_OK(governor_->CheckPoint(0));
     }
-    // Collect this stratum's growth into the seed for the strata above.
-    RoundBoundaryHook accumulate =
-        [&seed, &seed_preds](uint64_t round, bool fixpoint,
-                             const std::map<std::string, Relation>& delta)
-        -> Status {
-      (void)round;
-      (void)fixpoint;
-      for (const auto& [pred, rel] : delta) {
-        Relation& acc =
-            seed.try_emplace(pred, Relation(rel.type())).first->second;
-        for (TupleView t : rel.tuples()) acc.Insert(t);
-        seed_preds.insert(pred);
-      }
-      return Status::OK();
-    };
-    StratumResume seeded;
-    seeded.round = 0;  // Round 0 is the completed run; start at round 1.
-    seeded.delta = seed;
+    // Rows only append to a derived relation within one clear
+    // generation, and a continuation never erases, so each stratum
+    // predicate's growth is the tail past its pre-stratum size.
+    std::map<std::string, size_t> size_before;
+    for (const std::string& pred : stratum_preds) {
+      auto it = derived_.find(pred);
+      if (it != derived_.end()) size_before[pred] = it->second.size();
+    }
+    StratumResume seeded = seed;
     Status stratum_status =
         EvaluateStratum(stratum_plans, stratum_preds, ctx, &derived_,
-                        /*seminaive=*/true, &seeded, accumulate,
-                        &seed_preds);
+                        /*seminaive=*/true, &seeded);
+    // Collect this stratum's growth into the seed for the strata above.
+    for (const auto& [pred, before] : size_before) {
+      const Relation& full = derived_.at(pred);
+      if (full.size() == before) continue;
+      Relation& acc =
+          seed.delta.try_emplace(pred, Relation(full.type())).first->second;
+      for (size_t i = before; i < full.size(); ++i) acc.Insert(full.row(i));
+      seed.preds.insert(pred);
+    }
     if (profiling_) {
       // Fold into the stratum's existing profile row (metrics are keyed
       // by stratum index; a duplicate row would collide).

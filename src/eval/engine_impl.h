@@ -1,8 +1,10 @@
 #ifndef IDLOG_EVAL_ENGINE_IMPL_H_
 #define IDLOG_EVAL_ENGINE_IMPL_H_
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -28,25 +30,12 @@
 
 namespace idlog {
 
-/// A position in the stratified fixpoint at a round boundary, as
-/// reported to the checkpoint hook. `in_stratum` distinguishes "resume
-/// stratum `stratum` at round `round`+1 with the frame's delta" from
-/// "enter stratum `stratum` fresh"; `completed` marks the boundary that
-/// finished the last stratum.
-struct FixpointFrame {
-  int stratum = 0;
-  uint64_t round = 0;
-  bool in_stratum = false;
-  bool completed = false;
-};
-
 /// Continuation state decoded from a checkpoint. The maps are adopted
-/// wholesale; `stratum`/`round`/`in_stratum` say where Evaluate() picks
-/// the fixpoint back up.
+/// wholesale; `stratum` is the stratum Evaluate() enters next (every
+/// stratum below it is complete in `derived`).
 struct EvalResumeState {
   std::map<std::string, Relation> derived;
   std::map<std::pair<std::string, std::vector<int>>, Relation> id_relations;
-  std::map<std::string, Relation> delta;
   EvalStats stats;
   bool has_analysis = false;
   PlanAnalysis analysis;
@@ -55,8 +44,6 @@ struct EvalResumeState {
   bool has_provenance = false;
   ProvenanceStore provenance;
   int stratum = 0;
-  uint64_t round = 0;
-  bool in_stratum = false;
 };
 
 /// One prepared evaluation of a stratified IDLOG program against a
@@ -76,8 +63,8 @@ class EngineImpl {
 
   /// Computes the perfect model under `assigner`'s ID-functions.
   /// Clears previous results first — unless a resume state is pending
-  /// (InstallResumeState), in which case it continues the checkpointed
-  /// fixpoint from its frame. `seminaive=false` selects the naive
+  /// (InstallResumeState), in which case it evaluates from the
+  /// checkpointed stratum on. `seminaive=false` selects the naive
   /// fixpoint (ablation only).
   Status Evaluate(TidAssigner* assigner, bool seminaive = true);
 
@@ -107,16 +94,15 @@ class EngineImpl {
   /// Adopts checkpointed evaluation state: the derived/ID-relations,
   /// stats and observability counters become current immediately (so a
   /// completed snapshot is queryable without evaluating), and the next
-  /// Evaluate() continues from the frame instead of starting over. The
-  /// pending continuation is consumed by that Evaluate(); later ones
-  /// start fresh as usual.
+  /// Evaluate() enters the checkpointed stratum instead of starting
+  /// over. The pending continuation is consumed by that Evaluate();
+  /// later ones start fresh as usual.
   void InstallResumeState(EvalResumeState state);
 
-  /// Observes every fixpoint round boundary of Evaluate() with a
-  /// consistent frame (the checkpointer). A non-OK return aborts the
-  /// run. Null (default) disables.
-  using CheckpointHook = std::function<Status(
-      const FixpointFrame&, const std::map<std::string, Relation>& delta)>;
+  /// Called by Evaluate() at every stratum entry, before the stratum's
+  /// ID-relations are drawn: a consistent cut to resume from (the
+  /// checkpointer). A non-OK return aborts the run. Null disables.
+  using CheckpointHook = std::function<Status(int stratum)>;
   void set_checkpoint_hook(CheckpointHook hook) {
     checkpoint_hook_ = std::move(hook);
   }
@@ -282,16 +268,10 @@ class EngineImpl {
   bool use_indexes_ = true;
   ProvenanceStore provenance_;
   CheckpointHook checkpoint_hook_;
-  /// Pending continuation from InstallResumeState; consumed by the next
-  /// Evaluate(). Only the frame coordinates and delta live here — the
-  /// bulky state was adopted into the members directly.
-  struct PendingResume {
-    std::map<std::string, Relation> delta;
-    int stratum = 0;
-    uint64_t round = 0;
-    bool in_stratum = false;
-  };
-  std::unique_ptr<PendingResume> pending_resume_;
+  /// The stratum the next Evaluate() enters, set by InstallResumeState
+  /// and consumed by that Evaluate(); the state itself was adopted into
+  /// the members directly.
+  std::optional<int> pending_resume_stratum_;
 };
 
 }  // namespace idlog

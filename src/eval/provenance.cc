@@ -155,7 +155,8 @@ void ExplainRec(const ProvenanceStore& store, const SymbolTable& symbols,
           if (i > 0) *out += ",";
           *out += std::to_string(p.group[i] + 1);
         }
-        *out += "]" + TupleToString(p.tuple, symbols) + "   [tid choice]\n";
+        out->append("]").append(TupleToString(p.tuple, symbols));
+        *out += "   [tid choice]\n";
         // The underlying tuple (without the tid) may itself be derived.
         Tuple base(p.tuple.begin(), p.tuple.end() - 1);
         if (store.Lookup(p.predicate, base) != nullptr) {

@@ -12,28 +12,17 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                        const std::set<std::string>& stratum_preds,
                        const EvalContext& base_ctx,
                        std::map<std::string, Relation>* derived,
-                       bool seminaive,
-                       StratumResume* resume,
-                       const RoundBoundaryHook& on_round,
-                       const std::set<std::string>* seed_preds) {
+                       bool seminaive, StratumResume* seed) {
   std::map<std::string, Relation> delta;
-  uint64_t round = 0;
-  const bool resuming = resume != nullptr;
-  if (resuming) {
-    // Continue at the checkpointed boundary: the saved round's delta
-    // feeds round+1's differentiated scans, and round 0 (all rules over
-    // full relations) already ran before the frame was cut.
-    delta = std::move(resume->delta);
-    round = resume->round;
-  }
-  // An incremental seed widens the *first* differentiated round to the
-  // externally-changed predicates; afterwards only intra-stratum deltas
-  // exist and the filter narrows back to stratum_preds.
+  // An incremental seed feeds round 1's differentiated scans and widens
+  // that round to the externally-changed predicates; afterwards only
+  // intra-stratum deltas exist and the filter narrows back to
+  // stratum_preds.
   std::set<std::string> seed_filter;
-  bool first_seeded_round = resuming && seed_preds != nullptr;
-  if (first_seeded_round) {
+  if (seed != nullptr) {
+    delta = std::move(seed->delta);
     seed_filter = stratum_preds;
-    seed_filter.insert(seed_preds->begin(), seed_preds->end());
+    seed_filter.insert(seed->preds.begin(), seed->preds.end());
   }
 
   EvalContext ctx = base_ctx;
@@ -47,17 +36,9 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
   // so it is identical across --jobs settings.
   StratumRoundStats* round_log = nullptr;
   if (ctx.analyze != nullptr) {
-    // On resume this stratum's entry already exists (restored from the
-    // snapshot with the pre-checkpoint rounds); append to it rather
-    // than opening a duplicate.
-    if (resuming && !ctx.analyze->strata.empty() &&
-        ctx.analyze->strata.back().stratum == ctx.stratum) {
-      round_log = &ctx.analyze->strata.back();
-    } else {
-      ctx.analyze->strata.emplace_back();
-      ctx.analyze->strata.back().stratum = ctx.stratum;
-      round_log = &ctx.analyze->strata.back();
-    }
+    ctx.analyze->strata.emplace_back();
+    ctx.analyze->strata.back().stratum = ctx.stratum;
+    round_log = &ctx.analyze->strata.back();
   }
 
   // Each round produces fresh delta relations; their index-cache
@@ -269,63 +250,26 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
     return n;
   };
 
-  // Round 0: all rules over full relations. A resumed stratum skips it
-  // — it ran before the checkpoint frame was cut.
-  if (!resuming) {
-    TraceSpan round_span(ctx.trace, "fixpoint round", "fixpoint");
-    round_span.AddArg(TraceArg::Int("stratum", ctx.stratum));
-    round_span.AddArg(TraceArg::Num("round", round));
-    std::vector<RoundTask> tasks;
-    tasks.reserve(plans.size());
-    for (const RulePlan* plan : plans) {
-      RoundTask task;
-      task.plan = plan;
-      task.delta_step = -1;
-      tasks.push_back(std::move(task));
-    }
-    bool any = false;
-    std::map<std::string, Relation> next_delta;
-    FlightRecorder::Record(FlightEventKind::kRoundStart, "round0",
-                           ctx.stratum, static_cast<int64_t>(round),
-                           static_cast<int64_t>(tasks.size()));
-    IDLOG_RETURN_NOT_OK(
-        run_round(std::move(tasks), round, &any, &next_delta));
-    if (ctx.stats != nullptr) ++ctx.stats->iterations;
-    if (ctx.governor != nullptr) {
-      IDLOG_RETURN_NOT_OK(ctx.governor->OnIteration());
-    }
-    replace_delta(std::move(next_delta));
-    if (round_log != nullptr) {
-      round_log->new_facts_per_round.push_back(delta_total());
-    }
-    if (FlightRecorder::Enabled()) {
-      FlightRecorder::Record(FlightEventKind::kRoundCommit, "round0",
-                             ctx.stratum, static_cast<int64_t>(round),
-                             static_cast<int64_t>(delta_total()));
-    }
-    if (ctx.trace != nullptr) {
-      round_span.AddArg(TraceArg::Num("new_facts", delta_total()));
-    }
-    if (on_round != nullptr) {
-      IDLOG_RETURN_NOT_OK(on_round(round, !any, delta));
-    }
-    if (!any) return Status::OK();
-  }
-
-  // Later rounds. The loop is unbounded by construction (it stops at
+  // Round 0 runs every rule over full relations; a seeded stratum skips
+  // it (the completed run it continues already ran it). Later rounds
+  // run the delta-differentiated scans, or in naive mode the recursive
+  // rules in full. The loop is unbounded by construction (it stops at
   // the least fixpoint); the governor's iteration cap and deadline are
   // what bound it when a program generates values forever.
-  while (true) {
-    ++round;
+  for (uint64_t round = seed != nullptr ? 1 : 0;; ++round) {
     TraceSpan round_span(ctx.trace, "fixpoint round", "fixpoint");
     round_span.AddArg(TraceArg::Int("stratum", ctx.stratum));
     round_span.AddArg(TraceArg::Num("round", round));
     const std::set<std::string>& round_filter =
-        first_seeded_round ? seed_filter : stratum_preds;
-    first_seeded_round = false;
+        seed != nullptr && round == 1 ? seed_filter : stratum_preds;
     std::vector<RoundTask> tasks;
     for (const RulePlan* plan : plans) {
-      if (seminaive) {
+      if (round == 0) {
+        RoundTask task;
+        task.plan = plan;
+        task.delta_step = -1;
+        tasks.push_back(std::move(task));
+      } else if (seminaive) {
         for (int step : plan->positive_scan_steps) {
           const std::string& pred =
               plan->steps[static_cast<size_t>(step)].predicate;
@@ -353,19 +297,14 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
         tasks.push_back(std::move(task));
       }
     }
-    if (tasks.empty()) {
-      // No recursive rules: the stratum is complete without this round
-      // having run. The terminal hook call lets the checkpointer record
-      // the stratum as finished.
-      if (on_round != nullptr) {
-        IDLOG_RETURN_NOT_OK(on_round(round, /*fixpoint=*/true, delta));
-      }
-      return Status::OK();
-    }
+    // No recursive rules: the stratum is complete without this round
+    // having run.
+    if (round > 0 && tasks.empty()) return Status::OK();
+    const char* label = round == 0 ? "round0" : "delta";
     bool any = false;
     std::map<std::string, Relation> next_delta;
-    FlightRecorder::Record(FlightEventKind::kRoundStart, "delta",
-                           ctx.stratum, static_cast<int64_t>(round),
+    FlightRecorder::Record(FlightEventKind::kRoundStart, label, ctx.stratum,
+                           static_cast<int64_t>(round),
                            static_cast<int64_t>(tasks.size()));
     IDLOG_RETURN_NOT_OK(
         run_round(std::move(tasks), round, &any, &next_delta));
@@ -378,15 +317,12 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
       round_log->new_facts_per_round.push_back(delta_total());
     }
     if (FlightRecorder::Enabled()) {
-      FlightRecorder::Record(FlightEventKind::kRoundCommit, "delta",
+      FlightRecorder::Record(FlightEventKind::kRoundCommit, label,
                              ctx.stratum, static_cast<int64_t>(round),
                              static_cast<int64_t>(delta_total()));
     }
     if (ctx.trace != nullptr) {
       round_span.AddArg(TraceArg::Num("new_facts", delta_total()));
-    }
-    if (on_round != nullptr) {
-      IDLOG_RETURN_NOT_OK(on_round(round, !any, delta));
     }
     if (!any) return Status::OK();
   }

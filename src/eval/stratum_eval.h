@@ -2,7 +2,6 @@
 #define IDLOG_EVAL_STRATUM_EVAL_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -15,26 +14,14 @@
 
 namespace idlog {
 
-/// Mid-stratum continuation state for checkpoint resume: the last
-/// committed round and its post-commit delta, exactly as a
-/// RoundBoundaryHook observed them. EvaluateStratum picks up at round
-/// `round + 1` and skips the round-0 full evaluation (it already ran
-/// before the frame was cut).
+/// An incremental seed for EvaluateStratum: the tuples that predicates
+/// changed outside the stratum (EDB insertions, lower-stratum growth)
+/// gained, keyed by predicate, and the set of predicates whose positive
+/// scans the first differentiated round must also read.
 struct StratumResume {
-  uint64_t round = 0;
   std::map<std::string, Relation> delta;
+  std::set<std::string> preds;
 };
-
-/// Called at every round boundary — after Commit() moved the round's
-/// new facts into the full relations and the delta was swapped — the
-/// one point where derived relations, deltas and stats are mutually
-/// consistent and a checkpoint frame can be cut. `fixpoint` is true on
-/// the call that ends the stratum (no new facts, or no recursive rules
-/// left to run). A non-OK return aborts the evaluation (a checkpoint
-/// that cannot be written is an error the caller must see).
-using RoundBoundaryHook = std::function<Status(
-    uint64_t round, bool fixpoint,
-    const std::map<std::string, Relation>& delta)>;
 
 /// Evaluates one stratum to its least fixpoint.
 ///
@@ -46,28 +33,20 @@ using RoundBoundaryHook = std::function<Status(
 /// ablation baseline of bench E4); otherwise rounds after the first use
 /// delta differentiation on intra-stratum positive scans.
 ///
-/// `resume`, when set, continues a checkpointed fixpoint instead of
-/// starting at round 0 (the caller must have restored `derived` to the
-/// matching round boundary); it is consumed (the delta is moved out).
-/// `on_round`, when set, observes every round boundary.
-///
-/// `seed_preds`, when set (requires `resume` and semi-naive mode),
-/// marks the resume delta as an *incremental seed*: predicates changed
-/// outside this stratum (EDB insertions, lower-stratum growth) rather
-/// than a checkpointed intra-stratum delta. The first differentiated
-/// round then also creates tasks for positive scans over those
-/// predicates — they are not in `stratum_preds`, so the normal filter
-/// would never touch their deltas — and later rounds narrow back to the
-/// intra-stratum filter (external predicates are complete; only this
-/// stratum's own growth keeps propagating).
+/// `seed`, when set (semi-naive mode only), continues a completed
+/// fixpoint after its inputs grew: round 0 is skipped (the completed
+/// run already ran it) and the first differentiated round reads the
+/// seed's delta, also creating tasks for positive scans over
+/// `seed->preds` — they are not in `stratum_preds`, so the normal
+/// filter would never touch their deltas. Later rounds narrow back to
+/// the intra-stratum filter (external predicates are complete; only
+/// this stratum's own growth keeps propagating). The seed's delta is
+/// consumed (moved out).
 Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                        const std::set<std::string>& stratum_preds,
                        const EvalContext& base_ctx,
                        std::map<std::string, Relation>* derived,
-                       bool seminaive,
-                       StratumResume* resume = nullptr,
-                       const RoundBoundaryHook& on_round = nullptr,
-                       const std::set<std::string>* seed_preds = nullptr);
+                       bool seminaive, StratumResume* seed = nullptr);
 
 }  // namespace idlog
 

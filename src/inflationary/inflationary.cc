@@ -172,9 +172,9 @@ class InventionCache {
                     const std::string& var) {
     std::string key = std::to_string(clause_index) + "|" + var;
     for (const auto& [name, value] : body_bindings) {
-      key += "|" + name + "=" +
-             (value.is_number() ? "i" + std::to_string(value.number())
-                                : "u" + std::to_string(value.symbol()));
+      key += "|" + name + (value.is_number() ? "=i" : "=u");
+      key += value.is_number() ? std::to_string(value.number())
+                               : std::to_string(value.symbol());
     }
     auto it = cache_.find(key);
     if (it != cache_.end()) return it->second;

@@ -3,6 +3,7 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "common/str_util.h"
 #include "obs/json.h"
 
 namespace idlog {
@@ -58,8 +59,8 @@ std::string StepTarget(const PlanStep& step) {
     return s;
   }
   std::string s = step.predicate;
-  if (step.is_id) s += "[" + ColsToString(step.group) + "]";
-  s += "/" + std::to_string(step.sources.size());
+  if (step.is_id) s.append("[").append(ColsToString(step.group)).append("]");
+  s.append("/").append(std::to_string(step.sources.size()));
   return s;
 }
 
@@ -176,7 +177,7 @@ std::string RenderExplainText(const ExplainDoc& doc) {
 
     for (size_t i = 0; i < plan.steps.size(); ++i) {
       const PlanStep& step = plan.steps[i];
-      std::string name = "s" + std::to_string(i);
+      std::string name = Numbered("s", i);
       std::string keys =
           step.key_cols.empty() ? "-" : ColsToString(step.key_cols);
       AppendRow(&out, "  %-5s %-9s %-22s %-6s %-6s %-12s %-5s",

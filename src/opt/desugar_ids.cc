@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ast/program_builder.h"
+#include "common/str_util.h"
 
 namespace idlog {
 
@@ -13,7 +14,7 @@ namespace {
 
 std::string GroupSuffix(const std::vector<int>& group) {
   std::string s;
-  for (int c : group) s += "_" + std::to_string(c + 1);
+  for (int c : group) s += Numbered("_", c + 1);
   return s;
 }
 

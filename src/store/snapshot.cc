@@ -5,6 +5,7 @@
 
 #include "store/atomic_file.h"
 #include "common/failpoint.h"
+#include "common/str_util.h"
 #include "obs/flight_recorder.h"
 
 namespace idlog {
@@ -331,23 +332,6 @@ Status ExpectConsumed(const Reader& r) {
 // ---- semantic invariants -------------------------------------------
 
 Status CheckInvariants(const SnapshotData& snap) {
-  // Delta tuples were committed: each must already be present in its
-  // derived relation (Commit inserts into the full relation first).
-  for (const auto& [pred, delta_rel] : snap.delta) {
-    auto it = snap.derived.find(pred);
-    if (it == snap.derived.end()) {
-      return Status::InvalidArgument(
-          "snapshot fails invariant: delta relation '" + pred +
-          "' has no derived relation");
-    }
-    for (TupleView t : delta_rel.tuples()) {
-      if (!it->second.Contains(t)) {
-        return Status::InvalidArgument(
-            "snapshot fails invariant: delta tuple of '" + pred +
-            "' missing from its derived relation");
-      }
-    }
-  }
   // ID-relation tuples project (tid removed) onto their base relation.
   // The materialization may be a prefix (tid-bound pushdown), so subset
   // is the right check, not equality.
@@ -398,8 +382,8 @@ std::string SerializeSnapshot(const SnapshotView& view) {
     PutU8(&meta, view.config.use_indexes ? 1 : 0);
     PutU8(&meta, view.progress.completed ? 1 : 0);
     PutI32(&meta, view.progress.stratum);
-    PutU64(&meta, view.progress.round);
-    PutU8(&meta, view.progress.in_stratum ? 1 : 0);
+    PutU64(&meta, 0);  // round: frames are cut at stratum entry only
+    PutU8(&meta, 0);   // in_stratum
     PutStats(&meta, view.stats != nullptr ? *view.stats : EvalStats());
     PutStr(&meta, view.config.assigner_kind);
     PutStr(&meta, view.config.assigner_state);
@@ -452,14 +436,7 @@ std::string SerializeSnapshot(const SnapshotView& view) {
 
   {
     std::string delta;
-    size_t n = view.delta != nullptr ? view.delta->size() : 0;
-    PutU32(&delta, static_cast<uint32_t>(n));
-    if (view.delta != nullptr) {
-      for (const auto& [name, rel] : *view.delta) {
-        PutStr(&delta, name);
-        PutRelation(&delta, rel);
-      }
-    }
+    PutU32(&delta, 0);  // no mid-stratum delta
     PutSection(&out, kSectionDelta, delta);
   }
 
@@ -596,6 +573,12 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
       version >= 2 ? kSectionWalPos : kSectionDeriv;
 
   SnapshotData snap;
+  // Earlier builds also cut frames mid-stratum: META's in_stratum byte
+  // set with the last committed round, DELTA holding that round's new
+  // facts. This build cuts frames at stratum entry only and refuses
+  // those.
+  bool mid_stratum = false;
+  uint64_t mid_round = 0;
   uint32_t expected_tag = kSectionMeta;
   bool saw_end = false;
   while (!saw_end) {
@@ -670,9 +653,9 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
         int32_t stratum = 0;
         IDLOG_RETURN_NOT_OK(r.I32(&stratum));
         snap.progress.stratum = stratum;
-        IDLOG_RETURN_NOT_OK(r.U64(&snap.progress.round));
+        IDLOG_RETURN_NOT_OK(r.U64(&mid_round));
         IDLOG_RETURN_NOT_OK(r.U8(&flag));
-        snap.progress.in_stratum = flag != 0;
+        mid_stratum = flag != 0;
         IDLOG_RETURN_NOT_OK(ReadStats(&r, &snap.stats));
         IDLOG_RETURN_NOT_OK(r.Str(&snap.config.assigner_kind));
         IDLOG_RETURN_NOT_OK(r.Str(&snap.config.assigner_state));
@@ -717,10 +700,7 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
         }
         break;
       }
-      case kSectionDerived:
-      case kSectionDelta: {
-        auto* target =
-            tag == kSectionDerived ? &snap.derived : &snap.delta;
+      case kSectionDerived: {
         uint32_t nrel = 0;
         IDLOG_RETURN_NOT_OK(r.U32(&nrel));
         for (uint32_t i = 0; i < nrel; ++i) {
@@ -729,10 +709,24 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
           Relation rel;
           IDLOG_RETURN_NOT_OK(
               ReadRelation(&r, snap.symbols.size(), with_counters, &rel));
-          if (!target->emplace(name, std::move(rel)).second) {
+          if (!snap.derived.emplace(name, std::move(rel)).second) {
             return Status::InvalidArgument(
                 "snapshot corrupt: relation '" + name + "' appears twice");
           }
+        }
+        break;
+      }
+      case kSectionDelta: {
+        uint32_t nrel = 0;
+        IDLOG_RETURN_NOT_OK(r.U32(&nrel));
+        if (mid_stratum || nrel != 0) {
+          return Status::InvalidArgument(
+              Numbered("idlog-snap-v", version) +
+              " mid-stratum frame (stratum " +
+              std::to_string(snap.progress.stratum) + ", round " +
+              std::to_string(mid_round) +
+              ") from an earlier build; this build resumes only at "
+              "stratum boundaries");
         }
         break;
       }

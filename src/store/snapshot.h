@@ -37,6 +37,11 @@ namespace idlog {
 /// a write-ahead log (store/wal.h) this snapshot's state reaches, so
 /// recovery replays only the WAL tail beyond it.
 ///
+/// META keeps a `round` and an `in_stratum` field and DELTA stays in
+/// the sequence so that files of earlier builds keep their layout; the
+/// writer emits 0, 0 and an empty DELTA, since frames are cut only at
+/// stratum boundaries (SnapshotProgress).
+///
 /// v2 over v1: each serialized relation additionally carries its
 /// logical version and clear-generation counters (db-stats fields that
 /// must survive a round trip), and the WALPOS section exists. The
@@ -72,13 +77,12 @@ struct SnapshotWalPosition {
 };
 
 /// Where in the stratified fixpoint the snapshot was taken. Frames are
-/// only ever cut at round boundaries (after a round's Commit), the one
-/// point where derived relations, deltas and stats are all consistent.
+/// only ever cut at stratum entry, before the stratum's ID-relations
+/// are drawn: every stratum below `stratum` is complete, and the
+/// assigner state replays the tids the stratum is about to draw.
 struct SnapshotProgress {
   bool completed = false;  ///< The run finished; nothing left to resume.
-  int stratum = 0;         ///< Stratum to (re-)enter on resume.
-  uint64_t round = 0;      ///< Last committed round within it.
-  bool in_stratum = false; ///< True: resume mid-stratum with `delta`.
+  int stratum = 0;         ///< Stratum to enter on resume.
 };
 
 /// Borrowed engine state to serialize (the engine's own maps; nothing
@@ -89,7 +93,6 @@ struct SnapshotView {
   const std::map<std::string, Relation>* derived = nullptr;
   const std::map<std::pair<std::string, std::vector<int>>, Relation>*
       id_relations = nullptr;
-  const std::map<std::string, Relation>* delta = nullptr;  ///< May be null.
   const EvalStats* stats = nullptr;
   const PlanAnalysis* analysis = nullptr;  ///< May be null.
   const EvalProfile* profile = nullptr;    ///< May be null.
@@ -111,7 +114,6 @@ struct SnapshotData {
   std::vector<SymbolId> u_domain;      ///< Includes tuple-less extras.
   std::map<std::string, Relation> derived;
   std::map<std::pair<std::string, std::vector<int>>, Relation> id_relations;
-  std::map<std::string, Relation> delta;
   EvalStats stats;
   bool has_analysis = false;
   PlanAnalysis analysis;
@@ -129,8 +131,9 @@ std::string SerializeSnapshot(const SnapshotView& view);
 
 /// Decodes a snapshot byte string, checking magic, version, section
 /// framing and CRCs, plus semantic invariants (symbol ids in range,
-/// delta tuples committed in their derived relations, ID-relation
-/// tuples consistent with their bases).
+/// ID-relation tuples consistent with their bases). A mid-stratum frame
+/// cut by an earlier build (META's in_stratum set, or a non-empty
+/// DELTA) is refused with InvalidArgument naming its version.
 Result<SnapshotData> ParseSnapshot(std::string_view bytes);
 
 /// Reads and decodes the snapshot at `path`.

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <random>
 
+#include "common/str_util.h"
 #include "core/aggregates.h"
 #include "test_util.h"
 
@@ -112,7 +113,7 @@ TEST_P(AggregateProperty, MatchesDirectComputation) {
   for (int i = 0; i < n; ++i) {
     int64_t v = static_cast<int64_t>(rng() % 50);
     // Distinct first column => no set-collapse; values may repeat.
-    if (r.Insert(T(&s, {"k" + std::to_string(i), std::to_string(v)}))) {
+    if (r.Insert(T(&s, {Numbered("k", i), std::to_string(v)}))) {
       values.push_back(v);
     }
   }

@@ -1,5 +1,5 @@
 // Checkpoint/resume equivalence: a run interrupted by a governor trip
-// and resumed from its round-boundary snapshot must be indistinguishable
+// and resumed from its stratum-boundary snapshot must be indistinguishable
 // from a run that never stopped — same answers, same logical EvalStats,
 // same EXPLAIN ANALYZE document, same tid choices under a random
 // assigner — across the randomized corpus and at every --jobs setting
@@ -14,7 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "common/failpoint.h"
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
+#include "store/snapshot.h"
 #include "test_util.h"
 
 namespace idlog {
@@ -102,7 +105,7 @@ void ExpectResumeMatchesFullRun(
     const std::vector<std::string>& queries, const std::string& snap_path,
     int full_jobs, int trip_jobs, int resume_jobs,
     uint64_t trip_iterations) {
-  SCOPED_TRACE("jobs " + std::to_string(full_jobs) + "/" +
+  SCOPED_TRACE(Numbered("jobs ", full_jobs) + "/" +
                std::to_string(trip_jobs) + "/" +
                std::to_string(resume_jobs) + ", trip after " +
                std::to_string(trip_iterations) + ": " + program);
@@ -155,7 +158,7 @@ TEST_P(ResumeCorpus, ResumedRunMatchesUninterrupted) {
   testing_util::CorpusGenerator gen(seed);
   std::string program = gen.Generate();
   auto edb = testing_util::CorpusEdb(seed);
-  ScratchDir scratch("corpus" + std::to_string(seed));
+  ScratchDir scratch(Numbered("corpus", seed));
 
   ExpectResumeMatchesFullRun(program, edb, gen.queries(),
                              scratch.Path("serial.snap"),
@@ -177,8 +180,8 @@ TEST(CheckpointResume, CrossJobsResume) {
   ScratchDir scratch("crossjobs");
   std::vector<std::vector<std::string>> edb;
   for (int i = 0; i < 60; ++i) {
-    edb.push_back({"edge", "n" + std::to_string(i),
-                   "n" + std::to_string(i + 1)});
+    edb.push_back({"edge", Numbered("n", i),
+                   Numbered("n", i + 1)});
   }
   std::string program =
       "tc(X, Y) :- edge(X, Y).\n"
@@ -202,8 +205,8 @@ TEST(CheckpointResume, CrossJobsResume) {
 TEST(CheckpointResume, RandomTidsSurviveResumeAtEveryDepth) {
   std::vector<std::vector<std::string>> edb;
   for (int i = 0; i < 40; ++i) {
-    edb.push_back({"edge", "n" + std::to_string(i),
-                   "n" + std::to_string(i + 1)});
+    edb.push_back({"edge", Numbered("n", i),
+                   Numbered("n", i + 1)});
   }
   std::string program =
       "tc(X, Y) :- edge(X, Y).\n"
@@ -219,8 +222,8 @@ TEST(CheckpointResume, RandomTidsSurviveResumeAtEveryDepth) {
   std::string expected = Dump(**expected_rel, full.symbols());
 
   for (uint64_t depth : {1u, 2u, 5u, 20u}) {
-    SCOPED_TRACE("interrupted after " + std::to_string(depth) + " rounds");
-    ScratchDir scratch("tids" + std::to_string(depth));
+    SCOPED_TRACE(Numbered("interrupted after ", depth) + " rounds");
+    ScratchDir scratch(Numbered("tids", depth));
     std::string snap = scratch.Path("trip.snap");
 
     IdlogEngine tripper;
@@ -244,44 +247,136 @@ TEST(CheckpointResume, RandomTidsSurviveResumeAtEveryDepth) {
 }
 
 // --------------------------------------------------------------------
-// Checkpoint cadence: --checkpoint-every-rounds N still produces a
-// resumable snapshot (the final frame on a trip is always written,
-// whatever the cadence), and the answers still match.
+// Frames are cut at stratum boundaries only. Three strata: a chain
+// closure of 45+ rounds, a random-tid pick over it with its closure,
+// and a negation over that pick with its own closure.
 
-TEST(CheckpointResume, SparseCadenceStillResumable) {
-  ScratchDir scratch("cadence");
+constexpr const char* kThreeStrata =
+    "tc(X, Y) :- edge(X, Y).\n"
+    "tc(X, Z) :- tc(X, Y), edge(Y, Z).\n"
+    "first(X, Y) :- tc[1](X, Y, T), T < 3.\n"
+    "hop(X, Y) :- first(X, Y).\n"
+    "hop(X, Z) :- hop(X, Y), first(Y, Z).\n"
+    "gap(X, Y) :- tc(X, Y), not hop(X, Y).\n"
+    "far(X, Y) :- gap(X, Y).\n"
+    "far(X, Z) :- far(X, Y), gap(Y, Z).\n";
+
+std::vector<std::vector<std::string>> ChainEdb(int edges) {
   std::vector<std::vector<std::string>> edb;
-  for (int i = 0; i < 50; ++i) {
-    edb.push_back({"edge", "n" + std::to_string(i),
-                   "n" + std::to_string(i + 1)});
+  for (int i = 0; i < edges; ++i) {
+    edb.push_back({"edge", Numbered("n", i),
+                   Numbered("n", i + 1)});
   }
-  std::string program =
-      "tc(X, Y) :- edge(X, Y).\n"
-      "tc(X, Z) :- tc(X, Y), edge(Y, Z).\n";
+  return edb;
+}
 
+TEST(CheckpointResume, FramesAreCutAtStratumEntryAndCompletionOnly) {
+  ScratchDir scratch("frames");
+  std::string snap = scratch.Path("frames.snap");
+  IdlogEngine engine;
+  SeedEdb(&engine, ChainEdb(45));
+  engine.SetTidAssigner(std::make_unique<RandomTidAssigner>(5));
+  engine.EnableProfiling(true);
+  ASSERT_TRUE(engine.LoadProgramText(kThreeStrata).ok());
+  engine.SetCheckpoint(snap);
+  // Armed far past any run, the site only counts its passes.
+  Failpoints::Instance().Reset();
+  ASSERT_TRUE(
+      Failpoints::Instance().ArmFromSpec("engine.checkpoint.frame:1000000")
+          .ok());
+  Status st = engine.Run();
+  const uint64_t frames =
+      Failpoints::Instance().HitCount("engine.checkpoint.frame");
+  Failpoints::Instance().Reset();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+
+  auto strat = engine.stratification();
+  ASSERT_TRUE(strat.ok());
+  ASSERT_EQ((*strat)->num_strata, 3);
+  ASSERT_EQ(engine.profile().strata.size(), 3u);
+  EXPECT_GE(engine.profile().strata[0].rounds, 40u);
+  // One frame per stratum entry plus the completed one — not one per
+  // round.
+  EXPECT_EQ(frames, 4u);
+  auto done = LoadSnapshotFile(snap);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  EXPECT_TRUE(done->progress.completed);
+  EXPECT_EQ(done->progress.stratum, 3);
+}
+
+// A trip leaves the interrupted stratum's entry frame on disk: the
+// strata below it complete, the ones from it on empty, and the
+// assigner state that redraws the same tids. Resuming redoes that
+// stratum and matches the uninterrupted run.
+TEST(CheckpointResume, TripResumesFromTheInterruptedStratumEntry) {
+  const std::vector<std::string> preds = {"tc", "first", "hop", "gap",
+                                          "far"};
+  const auto edb = ChainEdb(45);
   IdlogEngine full;
   SeedEdb(&full, edb);
-  ASSERT_TRUE(full.LoadProgramText(program).ok());
-  auto expected_rel = full.Query("tc");
-  ASSERT_TRUE(expected_rel.ok());
-  std::string expected = Dump(**expected_rel, full.symbols());
+  full.SetTidAssigner(std::make_unique<RandomTidAssigner>(5));
+  full.EnableExplain(true);
+  full.EnableProfiling(true);
+  ASSERT_TRUE(full.LoadProgramText(kThreeStrata).ok());
+  ASSERT_TRUE(full.Run().ok());
+  Observed expected = Observe(&full, preds);
+  const std::vector<StratumProfile> strata = full.profile().strata;
+  ASSERT_EQ(strata.size(), 3u);
+  auto strat = full.stratification();
+  ASSERT_TRUE(strat.ok());
 
-  IdlogEngine tripper;
-  SeedEdb(&tripper, edb);
-  ASSERT_TRUE(tripper.LoadProgramText(program).ok());
-  EvalLimits limits;
-  limits.max_iterations = 13;
-  tripper.SetLimits(limits);
-  tripper.SetPartialResults(true);
-  tripper.SetCheckpoint(scratch.Path("sparse.snap"), /*every_rounds=*/7);
-  ASSERT_TRUE(tripper.Run().ok());
+  for (int trip_stratum : {1, 2}) {
+    SCOPED_TRACE(Numbered("trip in stratum ", trip_stratum));
+    ASSERT_GE(strata[static_cast<size_t>(trip_stratum)].rounds, 2u);
+    ScratchDir scratch(Numbered("entry", trip_stratum));
+    std::string snap = scratch.Path("trip.snap");
 
-  IdlogEngine resumed;
-  ASSERT_TRUE(resumed.ResumeFromCheckpoint(scratch.Path("sparse.snap")).ok());
-  ASSERT_TRUE(resumed.LoadProgramText(program).ok());
-  auto rel = resumed.Query("tc");
-  ASSERT_TRUE(rel.ok());
-  EXPECT_EQ(Dump(**rel, resumed.symbols()), expected);
+    // Trip on the second round of `trip_stratum`.
+    EvalLimits limits;
+    limits.max_iterations = 1;
+    for (int s = 0; s < trip_stratum; ++s) {
+      limits.max_iterations += strata[static_cast<size_t>(s)].rounds;
+    }
+    IdlogEngine tripper;
+    SeedEdb(&tripper, edb);
+    tripper.SetTidAssigner(std::make_unique<RandomTidAssigner>(5));
+    tripper.EnableExplain(true);
+    ASSERT_TRUE(tripper.LoadProgramText(kThreeStrata).ok());
+    tripper.SetLimits(limits);
+    tripper.SetPartialResults(true);
+    tripper.SetCheckpoint(snap);
+    ASSERT_TRUE(tripper.Run().ok());
+    ASSERT_FALSE(tripper.last_trip().ok());
+
+    auto frame = LoadSnapshotFile(snap);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_FALSE(frame->progress.completed);
+    EXPECT_EQ(frame->progress.stratum, trip_stratum);
+    for (const std::string& pred : preds) {
+      auto saved = frame->derived.find(pred);
+      ASSERT_NE(saved, frame->derived.end()) << pred;
+      auto complete = full.Query(pred);
+      ASSERT_TRUE(complete.ok());
+      const int s = (*strat)->StratumOf(pred);
+      if (s < trip_stratum) {
+        EXPECT_EQ(Dump(saved->second, frame->symbols),
+                  Dump(**complete, full.symbols()))
+            << pred << " of stratum " << s << " is incomplete";
+      } else {
+        EXPECT_TRUE(saved->second.empty()) << pred << " of stratum " << s;
+      }
+    }
+
+    IdlogEngine resumed;
+    resumed.EnableExplain(true);
+    ASSERT_TRUE(resumed.ResumeFromCheckpoint(snap).ok());
+    ASSERT_TRUE(resumed.LoadProgramText(kThreeStrata).ok());
+    ASSERT_TRUE(resumed.Run().ok());
+    Observed actual = Observe(&resumed, preds);
+    EXPECT_EQ(actual.answers, expected.answers);
+    ExpectSameLogicalStats(expected.stats, actual.stats);
+    EXPECT_EQ(actual.explain_json, expected.explain_json);
+  }
 }
 
 // --------------------------------------------------------------------

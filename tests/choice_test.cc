@@ -7,6 +7,7 @@
 #include "choice/choice_program.h"
 #include "choice/choice_semantics.h"
 #include "choice/choice_to_idlog.h"
+#include "common/str_util.h"
 #include "core/answer_enumerator.h"
 #include "parser/parser.h"
 #include "test_util.h"
@@ -176,8 +177,8 @@ TEST_P(Theorem2Sweep, AnswerSetsCoincide) {
   // Small random emp + dept_ok tables (sizes bounded for enumeration).
   int people = 3 + static_cast<int>(rng() % 3);
   for (int i = 0; i < people; ++i) {
-    ASSERT_TRUE(db.AddRow("emp", {"p" + std::to_string(i),
-                                  "d" + std::to_string(rng() % 2)})
+    ASSERT_TRUE(db.AddRow("emp", {Numbered("p", i),
+                                  Numbered("d", rng() % 2)})
                     .ok());
   }
   ASSERT_TRUE(db.AddRow("dept_ok", {"d0"}).ok());

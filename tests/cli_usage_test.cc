@@ -145,9 +145,11 @@ TEST(CliFlags, NamesAreUniqueAndDocumented) {
     EXPECT_EQ(spec.kind == FlagKind::kBool, std::string(spec.metavar).empty())
         << spec.name << ": value flags need a metavar, bool flags none";
   }
-  // The batch surface: 36 flags at the time the table replaced the
-  // hand-written parser. Removing one should be a deliberate edit here.
-  EXPECT_EQ(RunFlags().size(), 36u);
+  // The batch surface: 36 flags when the table replaced the
+  // hand-written parser, 35 once checkpoints moved to stratum
+  // boundaries and --checkpoint-every-rounds went. Removing one should
+  // be a deliberate edit here.
+  EXPECT_EQ(RunFlags().size(), 35u);
 }
 
 TEST(CliFlags, UsageTextAndReadmeMentionEveryFlag) {
@@ -270,7 +272,6 @@ TEST(CliFlags, RangesRejectTheirEdges) {
            {"--jobs", "1025"},
            {"--flight-events", "15"},
            {"--flight-events", "1048577"},
-           {"--checkpoint-every-rounds", "0"},
            {"--wal-group-commit", "0"},
            {"--timeout-ms", past_int64},
            {"--max-memory-mb", past_mb},
@@ -304,6 +305,11 @@ TEST(CliFlags, NoInputIsDroppedSilently) {
   ExpectRejected(ParseArgs({"--query", "q", "--csv", "edges.csv"}),
                  {"--csv"});
   ExpectRejected(ParseArgs({"--query", "q", "--bogus"}), {"--bogus"});
+  // Checkpoints are cut at stratum boundaries; the round cadence flag
+  // is gone and reads as any unknown flag.
+  ExpectRejected(ParseArgs({"--query", "q", "--checkpoint", "c.snap",
+                            "--checkpoint-every-rounds", "10"}),
+                 {"unknown flag", "--checkpoint-every-rounds"});
   ExpectRejected(ParseArgs({"--query"}), {"--query"});
   // The repeatable flags accumulate.
   auto run = ParseArgs({"--query", "q", "--csv", "a=x", "--csv", "b=y",
@@ -319,8 +325,7 @@ TEST(CliFlags, NoInputIsDroppedSilently) {
 // test-visible act.
 TEST(CliUsage, CheckpointAndFaultFlagsExist) {
   const std::set<std::string> table = TableFlags();
-  for (const char* flag : {"--checkpoint", "--checkpoint-every-rounds",
-                           "--resume", "--fail-at"}) {
+  for (const char* flag : {"--checkpoint", "--resume", "--fail-at"}) {
     EXPECT_TRUE(table.count(flag) > 0)
         << flag << " is no longer in the batch flag table";
   }

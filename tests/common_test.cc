@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/str_util.h"
 #include "common/symbol_table.h"
 #include "common/value.h"
 
@@ -41,7 +42,7 @@ TEST(Result, HoldsValue) {
   Result<int> r(42);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, 42);
-  EXPECT_TRUE(r.status().ok());
+  EXPECT_EQ(r.status(), Status::OK());
 }
 
 TEST(Result, HoldsError) {
@@ -100,7 +101,7 @@ TEST(SymbolTableDifferential, MatchesHashMapModel) {
   // Names of varied length that share prefixes, so probes meet equal
   // lengths, prefixes and extensions of each other.
   auto random_name = [&]() {
-    std::string name = "n" + std::to_string(rng() % 150000);
+    std::string name = Numbered("n", rng() % 150000);
     if (rng() % 4 == 0) name += std::string(rng() % 40, 'z');
     if (rng() % 8 == 0) name.pop_back();
     return name;
@@ -133,7 +134,7 @@ TEST(SymbolTableDifferential, MatchesHashMapModel) {
   EXPECT_EQ(table.Lookup(""), model.at(""));
   EXPECT_EQ(table.NameOf(model.at("")), "");
   for (int miss = 0; miss < 1000; ++miss) {
-    const std::string ghost = "ghost" + std::to_string(miss);
+    const std::string ghost = Numbered("ghost", miss);
     EXPECT_EQ(table.Lookup(ghost), SymbolTable::kNoSymbol);
   }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "choice/choice_semantics.h"
+#include "common/str_util.h"
 #include "core/answer_enumerator.h"
 #include "core/idlog_engine.h"
 #include "parser/parser.h"
@@ -57,7 +58,7 @@ TEST(CoverageGaps, NegatedIdNeedsFullMaterialization) {
   // bound analysis treats negative occurrences like positive ones.
   IdlogEngine engine;
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(engine.AddRow("emp", {"e" + std::to_string(i), "d"}).ok());
+    ASSERT_TRUE(engine.AddRow("emp", {Numbered("e", i), "d"}).ok());
   }
   ASSERT_TRUE(engine
                   .LoadProgramText(
@@ -93,7 +94,7 @@ TEST(CoverageGaps, SaturatedGroupMarksEnumerationNonExhaustive) {
   SymbolTable s;
   Database db(&s);
   for (int i = 0; i < 21; ++i) {
-    ASSERT_TRUE(db.AddRow("g", {"v" + std::to_string(i), "k"}).ok());
+    ASSERT_TRUE(db.AddRow("g", {Numbered("v", i), "k"}).ok());
   }
   auto prog = ParseProgram("first(V) :- g[2](V, K, 0).", &s);
   ASSERT_TRUE(prog.ok());
@@ -109,7 +110,7 @@ TEST(CoverageGaps, EnumeratorBudgetExceeded) {
   SymbolTable s;
   Database db(&s);
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(db.AddRow("item", {"x" + std::to_string(i)}).ok());
+    ASSERT_TRUE(db.AddRow("item", {Numbered("x", i)}).ok());
   }
   auto prog = ParseProgram("ord(X, I) :- item[](X, I).", &s);
   ASSERT_TRUE(prog.ok());
@@ -123,7 +124,7 @@ TEST(CoverageGaps, ChoiceEnumerationBudgetExceeded) {
   SymbolTable s;
   Database db(&s);
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(db.AddRow("emp", {"e" + std::to_string(i), "d"}).ok());
+    ASSERT_TRUE(db.AddRow("emp", {Numbered("e", i), "d"}).ok());
   }
   auto prog = ParseProgram(
       "one(N) :- emp(N, D), choice((D), (N)).", &s);

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "obs/dbstats.h"
 #include "obs/json.h"
@@ -93,8 +94,8 @@ void ExpectSumInvariant(IdlogEngine* engine) {
 TEST(DbStats, SumInvariantRecursiveProgram) {
   IdlogEngine engine;
   for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(engine.AddRow("e", {"n" + std::to_string(i),
-                                    "n" + std::to_string(i + 1)})
+    ASSERT_TRUE(engine.AddRow("e", {Numbered("n", i),
+                                    Numbered("n", i + 1)})
                     .ok());
   }
   ASSERT_TRUE(engine.LoadProgramText("p(X, Y) :- e(X, Y)."
@@ -124,8 +125,8 @@ TEST(DbStats, SumInvariantWithIdRelationsAndProvenance) {
 TEST(DbStats, TripLeavesAccountedAtLeastCharged) {
   IdlogEngine engine;
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(engine.AddRow("e", {"n" + std::to_string(i),
-                                    "n" + std::to_string(i + 1)})
+    ASSERT_TRUE(engine.AddRow("e", {Numbered("n", i),
+                                    Numbered("n", i + 1)})
                     .ok());
   }
   EvalLimits limits;
@@ -167,7 +168,7 @@ TEST_P(DbStatsCorpus, LogicalJsonByteIdenticalAcrossJobs) {
 
   std::string baseline = run(1);
   for (int jobs : {2, 4}) {
-    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    SCOPED_TRACE(Numbered("jobs=", jobs));
     EXPECT_EQ(run(jobs), baseline);
   }
 }

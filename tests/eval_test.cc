@@ -3,6 +3,7 @@
 #include <memory>
 #include <random>
 
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "test_util.h"
 
@@ -256,8 +257,8 @@ TEST_P(NaiveVsSeminaive, SameModel) {
     IdlogEngine engine;
     std::mt19937_64 g(graph_seed);
     for (int i = 0; i < 20; ++i) {
-      engine.AddRow("edge", {"n" + std::to_string(node_dist(g)),
-                             "n" + std::to_string(node_dist(g))});
+      engine.AddRow("edge", {Numbered("n", node_dist(g)),
+                             Numbered("n", node_dist(g))});
     }
     EXPECT_TRUE(engine
                     .LoadProgramText(

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "obs/explain.h"
 #include "obs/json.h"
@@ -87,7 +88,7 @@ TEST(ExplainPlan, ShowsIndexChoiceAndDeltaCandidates) {
 TEST(ExplainPlan, TidPushdownNotesSurface) {
   IdlogEngine engine;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(engine.AddRow("emp", {"p" + std::to_string(i), "d"}).ok());
+    ASSERT_TRUE(engine.AddRow("emp", {Numbered("p", i), "d"}).ok());
   }
   // N < 2 bounds the ID-literal's tid, so Prepare's pushdown annotates
   // the plan even though no opt/ pass ran.
@@ -226,8 +227,8 @@ TEST(ExplainJson, RecursiveProgramIdenticalAcrossJobs) {
     IdlogEngine engine;
     engine.SetThreads(t == 0 ? 1 : 4);
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(engine.AddRow("edge", {"n" + std::to_string(i),
-                                         "n" + std::to_string((i + 1) % 10)})
+      ASSERT_TRUE(engine.AddRow("edge", {Numbered("n", i),
+                                         Numbered("n", (i + 1) % 10)})
                       .ok());
     }
     ASSERT_TRUE(engine

@@ -214,8 +214,9 @@ const char* kSweepProgram =
     "tc(X, Z) :- tc(X, Y), edge(Y, Z).\n"
     "also(X, Y) :- tc(X, Y).\n";
 
-/// A mid-fixpoint snapshot to resume from: a 25-round transitive
-/// closure interrupted after 2 rounds.
+/// A snapshot to resume from: a 25-round transitive closure
+/// interrupted after 2 rounds, which leaves the entry frame of its
+/// only recursive stratum on disk.
 void MakePrevSnapshot(const std::string& path) {
   IdlogEngine engine;
   for (int i = 0; i < 25; ++i) {
@@ -231,7 +232,7 @@ void MakePrevSnapshot(const std::string& path) {
   engine.SetPartialResults(true);
   engine.SetCheckpoint(path);
   ASSERT_TRUE(engine.Run().ok());
-  ASSERT_FALSE(engine.last_trip().ok()) << "snapshot must be mid-fixpoint";
+  ASSERT_FALSE(engine.last_trip().ok()) << "the run must trip";
 }
 
 WorkloadOutcome RunCompositeWorkload(const std::string& csv_path,

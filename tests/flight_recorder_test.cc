@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
@@ -115,17 +116,19 @@ TEST_F(FlightRecorderTest, WraparoundKeepsNewestInSeqOrder) {
   // Exactly the last 16 payloads survive, in ascending seq order: the
   // single-thread wraparound is fully deterministic.
   for (int i = kEvents - 16; i < kEvents; ++i) {
-    EXPECT_NE(json.find("\"a\":" + std::to_string(i)), std::string::npos)
+    EXPECT_NE(json.find(Numbered("\"a\":", i)), std::string::npos)
         << "missing event " << i;
   }
-  EXPECT_EQ(json.find("\"a\":" + std::to_string(kEvents - 17) + ","),
+  EXPECT_EQ(json.find(Numbered("\"a\":", kEvents - 17) + ","),
             std::string::npos);
   size_t prev = 0;
   size_t count = 0;
   for (size_t at = json.find("\"seq\":"); at != std::string::npos;
        at = json.find("\"seq\":", at + 1)) {
     size_t seq = std::stoull(json.substr(at + 6));
-    if (count > 0) EXPECT_GT(seq, prev);
+    if (count > 0) {
+      EXPECT_GT(seq, prev);
+    }
     prev = seq;
     ++count;
   }
@@ -151,8 +154,8 @@ TEST_F(FlightRecorderTest, RunRecordsRoundsAndRunBoundaries) {
   rec.Arm(256);
   IdlogEngine engine;
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(engine.AddRow("e", {"n" + std::to_string(i),
-                                    "n" + std::to_string(i + 1)})
+    ASSERT_TRUE(engine.AddRow("e", {Numbered("n", i),
+                                    Numbered("n", i + 1)})
                     .ok());
   }
   ASSERT_TRUE(engine.LoadProgramText("p(X, Y) :- e(X, Y)."
@@ -178,8 +181,8 @@ TEST_F(FlightRecorderTest, GovernorTripWithoutTraceSinkLeavesDump) {
   const std::string dump = dir.Path("flight.json");
   IdlogEngine engine;
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(engine.AddRow("e", {"n" + std::to_string(i),
-                                    "n" + std::to_string(i + 1)})
+    ASSERT_TRUE(engine.AddRow("e", {Numbered("n", i),
+                                    Numbered("n", i + 1)})
                     .ok());
   }
   EvalLimits limits;
@@ -207,8 +210,8 @@ TEST_F(FlightRecorderTest, PartialResultsTripStillDumps) {
   const std::string dump = dir.Path("flight.json");
   IdlogEngine engine;
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(engine.AddRow("e", {"n" + std::to_string(i),
-                                    "n" + std::to_string(i + 1)})
+    ASSERT_TRUE(engine.AddRow("e", {Numbered("n", i),
+                                    Numbered("n", i + 1)})
                     .ok());
   }
   EvalLimits limits;
@@ -268,8 +271,8 @@ TEST_F(FlightRecorderTest, ComposesWithCheckpointResume) {
   {
     IdlogEngine tripper;
     for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(tripper.AddRow("e", {"n" + std::to_string(i),
-                                       "n" + std::to_string(i + 1)})
+      ASSERT_TRUE(tripper.AddRow("e", {Numbered("n", i),
+                                       Numbered("n", i + 1)})
                       .ok());
     }
     EvalLimits limits;
@@ -310,8 +313,8 @@ TEST_F(FlightRecorderTest, GovernorMemoryMilestones) {
   FlightRecorder::Instance().Arm(1024);
   IdlogEngine engine;
   for (int i = 0; i < 120; ++i) {
-    ASSERT_TRUE(engine.AddRow("e", {"n" + std::to_string(i),
-                                    "n" + std::to_string(i + 1)})
+    ASSERT_TRUE(engine.AddRow("e", {Numbered("n", i),
+                                    Numbered("n", i + 1)})
                     .ok());
   }
   ASSERT_TRUE(engine.LoadProgramText("p(X, Y) :- e(X, Y)."
@@ -327,8 +330,8 @@ TEST_F(FlightRecorderTest, GovernorMemoryMilestones) {
   FlightRecorder::Instance().Arm(1024);
   IdlogEngine big;
   for (int i = 0; i < 400; ++i) {
-    ASSERT_TRUE(big.AddRow("e", {"n" + std::to_string(i),
-                                 "n" + std::to_string(i + 1)})
+    ASSERT_TRUE(big.AddRow("e", {Numbered("n", i),
+                                 Numbered("n", i + 1)})
                     .ok());
   }
   ASSERT_TRUE(big.LoadProgramText("p(X, Y) :- e(X, Y)."
@@ -339,9 +342,9 @@ TEST_F(FlightRecorderTest, GovernorMemoryMilestones) {
   // 2 MiB exactly once each.
   json = FlightRecorder::Instance().ToJson();
   EXPECT_EQ(CountKind(json, "governor-memory"), 2u) << json;
-  EXPECT_NE(json.find("\"a\":" + std::to_string(1 << 20)),
+  EXPECT_NE(json.find(Numbered("\"a\":", 1 << 20)),
             std::string::npos);
-  EXPECT_NE(json.find("\"a\":" + std::to_string(1 << 21)),
+  EXPECT_NE(json.find(Numbered("\"a\":", 1 << 21)),
             std::string::npos);
 }
 

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "parser/parser.h"
 #include "test_util.h"
@@ -43,7 +44,7 @@ class ProgramGenerator {
                                                           {"e1", 1}};
     int layers = 2 + static_cast<int>(rng_() % 3);
     for (int layer = 0; layer < layers; ++layer) {
-      std::string pred = "p" + std::to_string(layer);
+      std::string pred = Numbered("p", layer);
       int arity = 1 + static_cast<int>(rng_() % 2);
       int rules = 1 + static_cast<int>(rng_() % 2);
       for (int r = 0; r < rules; ++r) {
@@ -63,7 +64,7 @@ class ProgramGenerator {
     return from[rng_() % from.size()];
   }
 
-  std::string Var(int i) { return "V" + std::to_string(i); }
+  std::string Var(int i) { return Numbered("V", i); }
 
   std::string GenerateRule(
       const std::string& head, int head_arity,
@@ -147,13 +148,13 @@ TEST_P(RandomPrograms, ModelAndModeInvariants) {
     std::mt19937_64 rng(seed * 17 + 1);
     for (int i = 0; i < 12; ++i) {
       EXPECT_TRUE(engine
-                      ->AddRow("e0", {"c" + std::to_string(rng() % 5),
-                                      "c" + std::to_string(rng() % 5)})
+                      ->AddRow("e0", {Numbered("c", rng() % 5),
+                                      Numbered("c", rng() % 5)})
                       .ok());
     }
     for (int i = 0; i < 4; ++i) {
       EXPECT_TRUE(
-          engine->AddRow("e1", {"c" + std::to_string(rng() % 5)}).ok());
+          engine->AddRow("e1", {Numbered("c", rng() % 5)}).ok());
     }
     engine->SetSeminaive(seminaive);
     engine->SetTidBoundPushdown(pushdown);
@@ -204,13 +205,13 @@ TEST_P(GovernedRandomPrograms, TightBudgetsTerminateCleanly) {
   std::mt19937_64 rng(seed * 17 + 1);
   for (int i = 0; i < 12; ++i) {
     ASSERT_TRUE(engine
-                    .AddRow("e0", {"c" + std::to_string(rng() % 5),
-                                   "c" + std::to_string(rng() % 5)})
+                    .AddRow("e0", {Numbered("c", rng() % 5),
+                                   Numbered("c", rng() % 5)})
                     .ok());
   }
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(
-        engine.AddRow("e1", {"c" + std::to_string(rng() % 5)}).ok());
+        engine.AddRow("e1", {Numbered("c", rng() % 5)}).ok());
   }
   ASSERT_TRUE(engine.LoadProgramText(text).ok());
 
@@ -297,8 +298,8 @@ TEST(Oracle, EngineMatchesBruteForceOnPositiveDatalog) {
     IdlogEngine engine;
     std::map<std::string, std::set<Tuple>> edb;
     for (int i = 0; i < 15; ++i) {
-      std::string a = "c" + std::to_string(rng() % 6);
-      std::string b = "c" + std::to_string(rng() % 6);
+      std::string a = Numbered("c", rng() % 6);
+      std::string b = Numbered("c", rng() % 6);
       ASSERT_TRUE(engine.AddRow("edge", {a, b}).ok());
       edb["edge"].insert({Value::Symbol(engine.symbols().Intern(a)),
                           Value::Symbol(engine.symbols().Intern(b))});

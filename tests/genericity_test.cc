@@ -12,6 +12,7 @@
 #include <map>
 #include <random>
 
+#include "common/str_util.h"
 #include "core/answer_enumerator.h"
 #include "parser/parser.h"
 #include "test_util.h"
@@ -62,7 +63,7 @@ TEST_P(Genericity, AnswerSetsCommuteWithRenaming) {
   // ID-group, and the global emp[] group has |emp|! of them.
   std::vector<SymbolId> ids;
   for (int i = 0; i < 4; ++i) {
-    ids.push_back(s.Intern("k" + std::to_string(i)));
+    ids.push_back(s.Intern(Numbered("k", i)));
   }
   std::mt19937_64 rng(99);
   Database db(&s);
@@ -77,7 +78,7 @@ TEST_P(Genericity, AnswerSetsCommuteWithRenaming) {
   std::map<SymbolId, SymbolId> sigma;
   std::vector<SymbolId> targets;
   for (int i = 0; i < 4; ++i) {
-    targets.push_back(s.Intern("m" + std::to_string(i)));
+    targets.push_back(s.Intern(Numbered("m", i)));
   }
   std::shuffle(targets.begin(), targets.end(), rng);
   for (size_t i = 0; i < ids.size(); ++i) sigma[ids[i]] = targets[i];

@@ -5,6 +5,7 @@
 #include <random>
 #include <set>
 
+#include "common/str_util.h"
 #include "storage/id_relation.h"
 #include "storage/tid_assigner.h"
 #include "test_util.h"
@@ -97,8 +98,8 @@ TEST_P(IdRelationProperty, RandomAssignmentsAreValid) {
   for (int g = 0; g < n_groups; ++g) {
     int n = members(rng);
     for (int m = 0; m < n; ++m) {
-      r.Insert(T(&s, {"m" + std::to_string(g) + "_" + std::to_string(m),
-                      "g" + std::to_string(g)}));
+      r.Insert(T(&s, {Numbered("m", g) + "_" + std::to_string(m),
+                      Numbered("g", g)}));
     }
   }
   for (const std::vector<int>& group :

@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "storage/csv.h"
 #include "test_util.h"
@@ -39,7 +40,7 @@ TEST(Integration, ParityViaTids) {
   auto parity_of = [](int n) {
     IdlogEngine engine;
     for (int i = 0; i < n; ++i) {
-      EXPECT_TRUE(engine.AddRow("item", {"x" + std::to_string(i)}).ok());
+      EXPECT_TRUE(engine.AddRow("item", {Numbered("x", i)}).ok());
     }
     Status st = engine.LoadProgramText(R"(
       even_tid(0) :- item[](X, T).
@@ -162,7 +163,7 @@ TEST(Integration, RandomAssignerVariesWitnesses) {
   // non-determinism is real, while each individual answer is legal.
   IdlogEngine engine;
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(engine.AddRow("emp", {"e" + std::to_string(i), "d"}).ok());
+    ASSERT_TRUE(engine.AddRow("emp", {Numbered("e", i), "d"}).ok());
   }
   ASSERT_TRUE(engine.LoadProgramText("rep(N) :- emp[2](N, D, 0).").ok());
 

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/limits.h"
+#include "common/str_util.h"
 #include "core/answer_enumerator.h"
 #include "core/idlog_engine.h"
 #include "eval/engine_impl.h"
@@ -234,7 +235,7 @@ TEST(Limits, CancelFromSecondThreadStopsEnumeration) {
   IdlogEngine engine;
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(
-        engine.AddRow("emp", {"e" + std::to_string(i), "sales"}).ok());
+        engine.AddRow("emp", {Numbered("e", i), "sales"}).ok());
   }
   ASSERT_TRUE(
       engine.LoadProgramText("first(N) :- emp[2](N, D, 0).").ok());
@@ -276,7 +277,7 @@ TEST(Limits, EnumerationRespectsTupleBudget) {
   IdlogEngine engine;
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(
-        engine.AddRow("emp", {"e" + std::to_string(i), "sales"}).ok());
+        engine.AddRow("emp", {Numbered("e", i), "sales"}).ok());
   }
   ASSERT_TRUE(
       engine.LoadProgramText("first(N) :- emp[2](N, D, 0).").ok());

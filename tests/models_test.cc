@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/str_util.h"
 #include "core/answer_enumerator.h"
 #include "ground/grounder.h"
 #include "models/disjunctive.h"
@@ -60,7 +61,7 @@ TEST(Grounder, BudgetEnforced) {
   SymbolTable s;
   Database db(&s);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(db.AddRow("n", {"x" + std::to_string(i)}).ok());
+    ASSERT_TRUE(db.AddRow("n", {Numbered("x", i)}).ok());
   }
   auto parsed = ParseProgram("t(X, Y, Z) :- n(X), n(Y), n(Z).", &s);
   ASSERT_TRUE(parsed.ok());
@@ -274,7 +275,7 @@ TEST(Stable, CandidateBudget) {
   GroundProgram ground;
   for (int i = 0; i < 25; ++i) {
     GroundClause c;
-    c.head.push_back(GroundAtom{"p" + std::to_string(i), {}});
+    c.head.push_back(GroundAtom{Numbered("p", i), {}});
     c.negative.push_back(GroundAtom{"q", {}});
     ground.clauses.push_back(c);
   }

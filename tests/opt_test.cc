@@ -3,6 +3,7 @@
 #include <random>
 
 #include "ast/printer.h"
+#include "common/str_util.h"
 #include "core/answer_enumerator.h"
 #include "core/idlog_engine.h"
 #include "opt/adornment.h"
@@ -157,8 +158,8 @@ TEST_P(OptimizationEquivalence, RandomGraphsAgree) {
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<int> node(0, 5);
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(db.AddRow("p", {"n" + std::to_string(node(rng)),
-                                "n" + std::to_string(node(rng))})
+    ASSERT_TRUE(db.AddRow("p", {Numbered("n", node(rng)),
+                                Numbered("n", node(rng))})
                     .ok());
   }
 
@@ -224,8 +225,8 @@ TEST(IdRewrite, RewrittenProgramInspectsFewerTuples) {
     for (int i = 0; i < 6; ++i) {
       for (int j = 0; j < 6; ++j) {
         EXPECT_TRUE(engine
-                        .AddRow("p", {"n" + std::to_string(i),
-                                      "n" + std::to_string(j)})
+                        .AddRow("p", {Numbered("n", i),
+                                      Numbered("n", j)})
                         .ok());
       }
     }

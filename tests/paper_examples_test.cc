@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "common/str_util.h"
 #include "core/answer_enumerator.h"
 #include "core/idlog_engine.h"
 #include "parser/parser.h"
@@ -247,15 +248,15 @@ TEST(PaperExamples, Section4RewriteReducesWork) {
   IdlogEngine rewritten;
   for (IdlogEngine* e : {&original, &rewritten}) {
     for (int i = 0; i < 10; ++i) {
-      std::string zi = "z" + std::to_string(i);
+      std::string zi = Numbered("z", i);
       ASSERT_TRUE(e->AddRow("q", {"x", zi}).ok());
       for (int j = 0; j < 10; ++j) {
         ASSERT_TRUE(
-            e->AddRow("z", {zi, "y" + std::to_string(j)}).ok());
+            e->AddRow("z", {zi, Numbered("y", j)}).ok());
       }
     }
     for (int w = 0; w < 10; ++w) {
-      ASSERT_TRUE(e->AddRow("y", {"w" + std::to_string(w)}).ok());
+      ASSERT_TRUE(e->AddRow("y", {Numbered("w", w)}).ok());
     }
   }
   ASSERT_TRUE(

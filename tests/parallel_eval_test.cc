@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "exec/thread_pool.h"
 #include "obs/trace.h"
@@ -280,8 +281,8 @@ void ExpectEquivalent(const std::string& program,
 TEST(ParallelEval, TransitiveClosure) {
   std::vector<std::vector<std::string>> edb;
   for (int i = 0; i < 12; ++i) {
-    edb.push_back({"edge", "n" + std::to_string(i),
-                   "n" + std::to_string((i + 1) % 12)});
+    edb.push_back({"edge", Numbered("n", i),
+                   Numbered("n", (i + 1) % 12)});
   }
   ExpectEquivalent(
       "path(X, Y) :- edge(X, Y)."
@@ -297,13 +298,13 @@ TEST(ParallelEval, ManyRulesSameHeadOneStratum) {
   std::vector<std::vector<std::string>> edb;
   std::string program;
   for (int k = 0; k < 8; ++k) {
-    std::string e = "e" + std::to_string(k);
-    std::string f = "f" + std::to_string(k);
+    std::string e = Numbered("e", k);
+    std::string f = Numbered("f", k);
     for (int i = 0; i < 6; ++i) {
-      edb.push_back({e, "a" + std::to_string(i),
-                     "m" + std::to_string(i % 3)});
-      edb.push_back({f, "m" + std::to_string(i % 3),
-                     "b" + std::to_string(i % 4)});
+      edb.push_back({e, Numbered("a", i),
+                     Numbered("m", i % 3)});
+      edb.push_back({f, Numbered("m", i % 3),
+                     Numbered("b", i % 4)});
     }
     program += "q(X, Y) :- " + e + "(X, Z), " + f + "(Z, Y).";
   }
@@ -313,8 +314,8 @@ TEST(ParallelEval, ManyRulesSameHeadOneStratum) {
 TEST(ParallelEval, MutualRecursionInOneStratum) {
   std::vector<std::vector<std::string>> edb;
   for (int i = 0; i < 10; ++i) {
-    edb.push_back({"e", "n" + std::to_string(i),
-                   "n" + std::to_string(i + 1)});
+    edb.push_back({"e", Numbered("n", i),
+                   Numbered("n", i + 1)});
   }
   ExpectEquivalent(
       "even(n0)."
@@ -326,10 +327,10 @@ TEST(ParallelEval, MutualRecursionInOneStratum) {
 TEST(ParallelEval, StratifiedNegation) {
   std::vector<std::vector<std::string>> edb;
   for (int i = 0; i < 8; ++i) {
-    edb.push_back({"node", "n" + std::to_string(i)});
+    edb.push_back({"node", Numbered("n", i)});
     if (i % 2 == 0) {
-      edb.push_back({"e", "n" + std::to_string(i),
-                     "n" + std::to_string(i + 1)});
+      edb.push_back({"e", Numbered("n", i),
+                     Numbered("n", i + 1)});
     }
   }
   ExpectEquivalent(
@@ -344,8 +345,8 @@ TEST(ParallelEval, IdLiteralsAcrossWorkers) {
   // workers only read them. Identity assigner keeps choices fixed.
   std::vector<std::vector<std::string>> edb;
   for (int i = 0; i < 6; ++i) {
-    edb.push_back({"emp", "p" + std::to_string(i),
-                   "d" + std::to_string(i % 3)});
+    edb.push_back({"emp", Numbered("p", i),
+                   Numbered("d", i % 3)});
   }
   ExpectEquivalent(
       "rep(N, D) :- emp[2](N, D, 0)."
@@ -367,8 +368,8 @@ TEST(ParallelEval, NaiveModeAlsoEquivalent) {
   IdlogEngine parallel;
   for (IdlogEngine* e : {&serial, &parallel}) {
     for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(e->AddRow("edge", {"n" + std::to_string(i),
-                                     "n" + std::to_string(i + 1)})
+      ASSERT_TRUE(e->AddRow("edge", {Numbered("n", i),
+                                     Numbered("n", i + 1)})
                       .ok());
     }
     e->SetSeminaive(false);
@@ -421,8 +422,8 @@ TEST(ParallelEval, ProvenanceRecordsUnderWorkerPool) {
 TEST(ParallelEval, GovernorTripsSurfaceFromParallelRuns) {
   IdlogEngine engine;
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(engine.AddRow("e", {"n" + std::to_string(i),
-                                    "n" + std::to_string(i + 1)})
+    ASSERT_TRUE(engine.AddRow("e", {Numbered("n", i),
+                                    Numbered("n", i + 1)})
                     .ok());
   }
   engine.SetThreads(4);
@@ -546,7 +547,7 @@ void ExpectSweepMatchesBaseline(
     const std::vector<std::string>& queries) {
   RunOutcome baseline = RunWith(1, program, edb, queries);
   for (int jobs : kSweepJobs) {
-    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    SCOPED_TRACE(Numbered("jobs=", jobs));
     RunOutcome run = RunWith(jobs, program, edb, queries);
     ExpectSameOutcome(baseline, run);
   }
@@ -559,11 +560,11 @@ void ExpectSweepMatchesBaseline(
 TEST(ParallelSweep, SingleRecursiveRuleTransitiveClosure) {
   std::vector<std::vector<std::string>> edb;
   for (int i = 0; i < 14; ++i) {
-    edb.push_back({"edge", "n" + std::to_string(i),
-                   "n" + std::to_string((i + 1) % 14)});
+    edb.push_back({"edge", Numbered("n", i),
+                   Numbered("n", (i + 1) % 14)});
     if (i % 3 == 0) {
-      edb.push_back({"edge", "n" + std::to_string(i),
-                     "n" + std::to_string((i + 5) % 14)});
+      edb.push_back({"edge", Numbered("n", i),
+                     Numbered("n", (i + 5) % 14)});
     }
   }
   ExpectSweepMatchesBaseline(
@@ -581,8 +582,8 @@ TEST(ParallelSweep, GovernorTripMidParallelRun) {
   auto run_tripped = [](int jobs, Status* st, EvalStats* stats) {
     IdlogEngine engine;
     for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(engine.AddRow("e", {"n" + std::to_string(i),
-                                      "n" + std::to_string(i + 1)})
+      ASSERT_TRUE(engine.AddRow("e", {Numbered("n", i),
+                                      Numbered("n", i + 1)})
                       .ok());
     }
     engine.SetThreads(jobs);
@@ -601,7 +602,7 @@ TEST(ParallelSweep, GovernorTripMidParallelRun) {
   EXPECT_EQ(serial_st.code(), StatusCode::kResourceExhausted)
       << serial_st.ToString();
   for (int jobs : kSweepJobs) {
-    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    SCOPED_TRACE(Numbered("jobs=", jobs));
     Status st;
     EvalStats stats;
     run_tripped(jobs, &st, &stats);
@@ -616,8 +617,8 @@ TEST(ParallelSweep, GovernorTripMidParallelRun) {
 void SetUpParallelChainEngine(IdlogEngine* engine) {
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(engine
-                    ->AddRow("edge", {"n" + std::to_string(i),
-                                      "n" + std::to_string(i + 1)})
+                    ->AddRow("edge", {Numbered("n", i),
+                                      Numbered("n", i + 1)})
                     .ok());
   }
   ASSERT_TRUE(engine

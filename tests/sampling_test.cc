@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 
+#include "common/str_util.h"
 #include "core/sampling.h"
 #include "storage/tid_assigner.h"
 #include "test_util.h"
@@ -16,8 +17,8 @@ Relation MakeEmp(SymbolTable* s, int depts, int per_dept) {
   Relation r(TypeFromString("00"));
   for (int d = 0; d < depts; ++d) {
     for (int e = 0; e < per_dept; ++e) {
-      r.Insert(T(s, {"e" + std::to_string(d) + "_" + std::to_string(e),
-                     "d" + std::to_string(d)}));
+      r.Insert(T(s, {Numbered("e", d) + "_" + std::to_string(e),
+                     Numbered("d", d)}));
     }
   }
   return r;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "storage/csv.h"
 #include "store/wal.h"
@@ -54,8 +55,8 @@ constexpr const char* kTcProgram =
 void AddChain(IdlogEngine* engine, int n) {
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(engine
-                    ->AddRow("edge", {"a" + std::to_string(i),
-                                      "a" + std::to_string(i + 1)})
+                    ->AddRow("edge", {Numbered("a", i),
+                                      Numbered("a", i + 1)})
                     .ok());
   }
 }
@@ -493,8 +494,8 @@ TEST(Session, AutoCheckpointEveryNCommits) {
     ASSERT_TRUE(engine.Begin().ok());
     ASSERT_TRUE(engine
                     .Insert("edge", T(&engine.symbols(),
-                                      {"n" + std::to_string(i),
-                                       "n" + std::to_string(i + 1)}))
+                                      {Numbered("n", i),
+                                       Numbered("n", i + 1)}))
                     .ok());
     ASSERT_TRUE(engine.Commit().ok());
   }

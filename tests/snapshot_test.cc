@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "obs/trace.h"
 #include "storage/csv.h"
@@ -360,7 +361,7 @@ TEST(AtomicFile, ConcurrentWritersInOneDirectory) {
   std::atomic<bool> failed{false};
   for (int w = 0; w < kWritersPerTarget * 2; ++w) {
     writers.emplace_back([&, w]() {
-      std::string path = scratch.Path("target" + std::to_string(w % 2));
+      std::string path = scratch.Path(Numbered("target", w % 2));
       std::string payload(64 + w, static_cast<char>('a' + w));
       for (int i = 0; i < kRounds; ++i) {
         if (!WriteFileAtomic(path, payload).ok()) failed = true;
@@ -373,7 +374,7 @@ TEST(AtomicFile, ConcurrentWritersInOneDirectory) {
   // Every target holds one writer's complete payload, never a mix.
   for (int target = 0; target < 2; ++target) {
     std::string contents =
-        Slurp(scratch.Path("target" + std::to_string(target)));
+        Slurp(scratch.Path(Numbered("target", target)));
     ASSERT_FALSE(contents.empty());
     EXPECT_EQ(contents.find_first_not_of(contents[0]), std::string::npos);
   }
@@ -402,10 +403,13 @@ TEST(Snapshot, WalPositionRoundTrips) {
   EXPECT_EQ(session->wal_pos.commits, 0u);
 }
 
-// A hand-rolled idlog-snap-v1 file (no per-relation counters, no
-// WALPOS section) must still parse: v2 added both, and checkpoints
-// written by v1 builds have to stay resumable.
-TEST(Snapshot, V1FilesStillParse) {
+/// A hand-rolled snapshot of `version` (1 or 2) holding one EDB
+/// relation e/1 = {7, 9}, written byte by byte rather than through
+/// SerializeSnapshot so it stands for files of earlier builds. With
+/// `in_stratum`, it is a mid-stratum frame as builds before
+/// stratum-boundary checkpointing cut them: META's in_stratum byte set,
+/// round 7, and the round's delta e'/1 = {7} in DELTA.
+std::string HandRolledSnapshot(uint32_t version, bool in_stratum) {
   std::string out;
   auto u8 = [&out](uint8_t v) { out.push_back(static_cast<char>(v)); };
   auto u32 = [&out](uint32_t v) {
@@ -445,19 +449,34 @@ TEST(Snapshot, V1FilesStillParse) {
     out.append(payload);
     u32(crc);
   };
+  // A unary number relation; v2 appends its version and clear
+  // generation counters.
+  auto number_relation = [&](const std::vector<uint64_t>& rows) {
+    u32(1);  // arity
+    u8(1);   // sort: number
+    u64(rows.size());
+    for (uint64_t v : rows) {
+      u8(1);
+      u64(v);
+    }
+    if (version >= 2) {
+      u64(rows.size());  // version
+      u64(0);            // clear generation
+    }
+  };
 
   out.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-  u32(1);  // version
+  u32(version);
 
   begin_section();  // META
   u64(42);          // program hash
   u8(1);            // seminaive
   u8(1);            // tid-bound pushdown
   u8(1);            // use indexes
-  u8(1);            // completed
-  u32(1);           // stratum (i32)
-  u64(0);           // round
-  u8(0);            // in_stratum
+  u8(in_stratum ? 0 : 1);  // completed
+  u32(in_stratum ? 0 : 1);  // stratum (i32)
+  u64(in_stratum ? 7 : 0);  // round
+  u8(in_stratum ? 1 : 0);   // in_stratum
   for (int i = 0; i < 15; ++i) u64(0);  // EvalStats
   str("identity");  // assigner kind
   str("");          // assigner state
@@ -468,27 +487,33 @@ TEST(Snapshot, V1FilesStillParse) {
   str("a");
   end_section(2);
 
-  begin_section();  // DATABASE: e/1 with rows (7) and (9), no counters.
+  begin_section();  // DATABASE: e/1 with rows (7) and (9).
   u32(1);
   str("e");
-  u32(1);  // arity
-  u8(1);   // sort: number
-  u64(2);  // rows
-  u8(1);
-  u64(7);
-  u8(1);
-  u64(9);
+  number_relation({7, 9});
   u64(0);  // u-domain size
   end_section(3);
 
   begin_section();  // DERIVED
-  u32(0);
+  if (in_stratum) {
+    u32(1);
+    str("e'");
+    number_relation({7});
+  } else {
+    u32(0);
+  }
   end_section(4);
   begin_section();  // IDRELS
   u32(0);
   end_section(5);
   begin_section();  // DELTA
-  u32(0);
+  if (in_stratum) {
+    u32(1);
+    str("e'");
+    number_relation({7});
+  } else {
+    u32(0);
+  }
   end_section(6);
   begin_section();  // ANALYSIS
   u8(0);
@@ -499,9 +524,24 @@ TEST(Snapshot, V1FilesStillParse) {
   begin_section();  // DERIV
   u8(0);
   end_section(9);
+  if (version >= 2) {
+    begin_section();  // WALPOS: absent
+    u8(0);
+    u64(0);
+    u64(0);
+    u64(0);
+    end_section(10);
+  }
   begin_section();  // END
   end_section(0);
+  return out;
+}
 
+// A hand-rolled idlog-snap-v1 file (no per-relation counters, no
+// WALPOS section) must still parse: v2 added both, and checkpoints
+// written by v1 builds have to stay resumable.
+TEST(Snapshot, V1FilesStillParse) {
+  const std::string out = HandRolledSnapshot(1, /*in_stratum=*/false);
   auto snap = ParseSnapshot(out);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   EXPECT_FALSE(snap->wal_pos.present);
@@ -515,6 +555,32 @@ TEST(Snapshot, V1FilesStillParse) {
   // A v1 file truncated before DERIV is still corrupt, not "old".
   std::string short_v1 = out.substr(0, out.size() - 32);
   EXPECT_FALSE(ParseSnapshot(short_v1).ok());
+}
+
+// Frames are cut only at stratum boundaries now. A mid-stratum frame
+// of an earlier build, of either version, is refused with a message
+// naming its version and frame; a boundary frame of the same layout
+// still loads.
+TEST(Snapshot, MidStratumFramesOfEarlierBuildsAreRefused) {
+  for (uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE(Numbered("v", version));
+    auto boundary = ParseSnapshot(HandRolledSnapshot(version, false));
+    ASSERT_TRUE(boundary.ok()) << boundary.status().ToString();
+    EXPECT_TRUE(boundary->progress.completed);
+
+    auto mid = ParseSnapshot(HandRolledSnapshot(version, true));
+    ASSERT_FALSE(mid.ok());
+    EXPECT_EQ(mid.status().code(), StatusCode::kInvalidArgument);
+    const std::string& message = mid.status().message();
+    EXPECT_NE(message.find(Numbered("idlog-snap-v", version)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("mid-stratum frame (stratum 0, round 7)"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("stratum boundaries"), std::string::npos)
+        << message;
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/limits.h"
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "storage/database.h"
 #include "storage/index.h"
@@ -470,7 +471,7 @@ TEST(SymbolTableBytes, ApproxBytesBoundsTheHeapWithinTwoX) {
   SymbolTable table;
   std::mt19937 rng(9);
   for (int n = 0; n < 100000; ++n) {
-    table.Intern("s" + std::to_string(rng()) +
+    table.Intern(Numbered("s", rng()) +
                  std::string(rng() % 24, 'q'));
     if (table.size() < 64) continue;  // minimum sizes dominate
     const uint64_t logical = table.approx_bytes();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 
+#include "common/str_util.h"
+
 namespace idlog {
 namespace testing_util {
 
@@ -49,8 +51,8 @@ std::string CorpusGenerator::Generate() {
   std::vector<std::pair<std::string, int>> lower = {{"e0", 2}, {"e1", 1}};
   int layers = 2 + static_cast<int>(rng_() % 3);
   for (int layer = 0; layer < layers; ++layer) {
-    std::string p = "p" + std::to_string(layer);
-    std::string q = "q" + std::to_string(layer);
+    std::string p = Numbered("p", layer);
+    std::string q = Numbered("q", layer);
     int arity = 2;
     // Negation (and ID-literals, whose base must be complete before
     // the stratum) may only reach strictly lower layers — predicates
@@ -112,11 +114,11 @@ std::vector<std::vector<std::string>> CorpusEdb(uint64_t seed) {
   std::vector<std::vector<std::string>> edb;
   std::mt19937_64 rng(seed * 31 + 7);
   for (int i = 0; i < 14; ++i) {
-    edb.push_back({"e0", "c" + std::to_string(rng() % 6),
-                   "c" + std::to_string(rng() % 6)});
+    edb.push_back({"e0", Numbered("c", rng() % 6),
+                   Numbered("c", rng() % 6)});
   }
   for (int i = 0; i < 5; ++i) {
-    edb.push_back({"e1", "c" + std::to_string(rng() % 6)});
+    edb.push_back({"e1", Numbered("c", rng() % 6)});
   }
   return edb;
 }

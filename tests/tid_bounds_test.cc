@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "analysis/tid_bounds.h"
+#include "common/str_util.h"
 #include "core/answer_enumerator.h"
 #include "core/idlog_engine.h"
 #include "parser/parser.h"
@@ -78,7 +79,7 @@ TEST(TidBounds, GreaterThanDoesNotBound) {
 TEST(TidBounds, EngineTruncatesMaterialization) {
   IdlogEngine engine;
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(engine.AddRow("emp", {"e" + std::to_string(i), "d"}).ok());
+    ASSERT_TRUE(engine.AddRow("emp", {Numbered("e", i), "d"}).ok());
   }
   ASSERT_TRUE(
       engine.LoadProgramText("two(N) :- emp[2](N, D, T), T < 2.").ok());
@@ -103,9 +104,9 @@ TEST(TidBounds, AnswersUnchangedByPushdown) {
     for (int d = 0; d < 3; ++d) {
       for (int i = 0; i < 4; ++i) {
         ASSERT_TRUE(engine
-                        .AddRow("emp", {"e" + std::to_string(d) + "_" +
+                        .AddRow("emp", {Numbered("e", d) + "_" +
                                             std::to_string(i),
-                                        "d" + std::to_string(d)})
+                                        Numbered("d", d)})
                         .ok());
       }
     }

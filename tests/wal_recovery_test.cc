@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
@@ -73,8 +74,8 @@ constexpr const char* kTcProgram =
 void SeedEdb(IdlogEngine* engine) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(engine
-                    ->AddRow("edge", {"a" + std::to_string(i),
-                                      "a" + std::to_string(i + 1)})
+                    ->AddRow("edge", {Numbered("a", i),
+                                      Numbered("a", i + 1)})
                     .ok());
   }
 }
@@ -183,7 +184,7 @@ Outputs RecoverAndFinish(const std::string& wal_path, int jobs,
 // The tentpole sweep: kill the session at EVERY byte of the WAL.
 
 void EveryByteSweep(int jobs) {
-  ScratchDir reference("ref_j" + std::to_string(jobs));
+  ScratchDir reference(Numbered("ref_j", jobs));
   std::string ref_wal = reference.Path("s.wal");
   std::string wal_bytes;
   std::string base_snapshot;
@@ -211,13 +212,13 @@ void EveryByteSweep(int jobs) {
   }
 
   for (uint64_t len : lengths) {
-    ScratchDir crashed("crash_j" + std::to_string(jobs) + "_" +
+    ScratchDir crashed(Numbered("crash_j", jobs) + "_" +
                        std::to_string(len));
     std::string wal_path = crashed.Path("s.wal");
     Spit(wal_path, wal_bytes.substr(0, len));
     Spit(wal_path + ".snap", base_snapshot);
     std::string label =
-        "jobs " + std::to_string(jobs) + ", kill at byte " +
+        Numbered("jobs ", jobs) + ", kill at byte " +
         std::to_string(len);
     Outputs got = RecoverAndFinish(wal_path, jobs, /*checkpoint=*/false,
                                    label);

@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 
+#include "common/str_util.h"
 #include "core/idlog_engine.h"
 #include "obs/json.h"
 #include "obs/why.h"
@@ -89,8 +90,8 @@ TEST(Why, DepthBudgetTruncatesAndReportsNumbers) {
   engine.EnableProvenance(true);
   for (int i = 0; i < 12; ++i) {
     ASSERT_TRUE(engine
-                    .AddRow("edge", {"n" + std::to_string(i),
-                                     "n" + std::to_string(i + 1)})
+                    .AddRow("edge", {Numbered("n", i),
+                                     Numbered("n", i + 1)})
                     .ok());
   }
   ASSERT_TRUE(engine

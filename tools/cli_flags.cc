@@ -91,11 +91,8 @@ const std::vector<FlagSpec>& RunFlags() {
        Text<&O::trace_out>},
       {"--metrics-json", kString, "FILE", "idlog-metrics-v1 run report",
        Text<&O::metrics_json>},
-      {"--checkpoint", kString, "FILE", "snapshot the run at round ends",
-       Text<&O::checkpoint>},
-      {"--checkpoint-every-rounds", kUint, "N",
-       "checkpoint every N rounds (default 1)", Number<&O::checkpoint_every>,
-       1},
+      {"--checkpoint", kString, "FILE",
+       "snapshot the run at every stratum entry", Text<&O::checkpoint>},
       {"--resume", kString, "FILE", "continue a checkpointed run",
        Text<&O::resume>},
       {"--fail-at", kRepeated, "SITE:N[:throw]",
@@ -143,8 +140,6 @@ const std::vector<FlagRule>& RunFlagRequirements() {
       {"--explain-json", {"--query", "--explain-plan"},
        "--explain-json without --explain-plan runs EXPLAIN ANALYZE, which "
        "needs --query PRED"},
-      {"--checkpoint-every-rounds", {"--checkpoint"},
-       "--checkpoint-every-rounds needs --checkpoint FILE"},
       {"--update-script", {"--wal"},
        "--update-script needs --wal FILE (updates are durable)"},
       {"--recover", {"--wal"}, "--recover needs --wal FILE to recover"},
@@ -230,6 +225,15 @@ Result<uint64_t> ParseUint(const FlagSpec& spec, const std::string& text) {
 }
 
 }  // namespace
+
+Result<uint64_t> ParseUintFlag(const std::string& name,
+                               const std::string& text) {
+  const int index = FindFlag(name);
+  if (index < 0 || RunFlags()[index].kind != FlagKind::kUint) {
+    return Status::InvalidArgument("'" + name + "' is not a numeric flag");
+  }
+  return ParseUint(RunFlags()[index], text);
+}
 
 Result<RunOptions> ParseRunFlags(int argc, const char* const* argv) {
   const std::vector<FlagSpec>& flags = RunFlags();

@@ -43,7 +43,6 @@ struct RunOptions {
   std::string trace_out;
   std::string metrics_json;
   std::string checkpoint;
-  uint64_t checkpoint_every = 1;
   std::string resume;
   std::vector<std::string> fail_at;
   bool db_stats = false;
@@ -97,6 +96,12 @@ const std::vector<FlagRule>& RunFlagConflicts();
 /// value given to a kBool flag, a repeated single-valued flag, a rule
 /// violation, or --checkpoint equal to --resume is InvalidArgument.
 Result<RunOptions> ParseRunFlags(int argc, const char* const* argv);
+
+/// Parses `text` as the value of the kUint flag `name` ("--seed"), with
+/// that flag's range and the exact error text a batch run prints for it
+/// (the REPL's `.seed` shares it).
+Result<uint64_t> ParseUintFlag(const std::string& name,
+                               const std::string& text);
 
 /// The usage text printed for a bad invocation, listing every flag.
 std::string UsageText();

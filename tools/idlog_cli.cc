@@ -7,9 +7,10 @@
 //
 // A batch run installs SIGINT/SIGTERM handlers: the first signal cancels
 // the resource governor, so the run winds down through the normal trip
-// path (final checkpoint frame, metrics / db-stats / flight-recorder
-// dumps, partial results with --partial) and the process exits 130; a
-// second signal force-exits immediately.
+// path (metrics / db-stats / flight-recorder dumps, partial results
+// with --partial; a --checkpoint run's frame of the interrupted
+// stratum is already on disk) and the process exits 130; a second
+// signal force-exits immediately.
 //
 // Interactive mode (no arguments): a small REPL. Clauses typed at the
 // prompt accumulate into the program; dot-commands drive the engine:
@@ -63,8 +64,8 @@ int Fail(const Status& status) {
 // Graceful-shutdown plumbing. The handler may only touch sig_atomic_t
 // and lock-free atomics; ResourceGovernor::Cancel() is a relaxed store,
 // so the first signal asks the run to wind down through the normal
-// governor-trip path (final checkpoint frame, metrics/flight dumps,
-// partial results). A second signal force-exits.
+// governor-trip path (metrics/flight dumps, partial results). A second
+// signal force-exits.
 volatile std::sig_atomic_t g_signals = 0;
 std::atomic<idlog::ResourceGovernor*> g_cancel_target{nullptr};
 
@@ -499,7 +500,7 @@ int RunBatch(int argc, char** argv) {
         std::make_unique<idlog::RandomTidAssigner>(*opt.seed));
   }
   if (!opt.checkpoint.empty()) {
-    engine.SetCheckpoint(opt.checkpoint, opt.checkpoint_every);
+    engine.SetCheckpoint(opt.checkpoint);
   }
   if (!opt.wal.empty()) {
     Status wst = opt.recover ? engine.CompleteRecovery(opt.wal_options)
@@ -624,12 +625,17 @@ int RunRepl() {
         Status st = engine.AddRow(rel, fields);
         std::printf("%s\n", st.ToString().c_str());
       } else if (cmd == ".seed") {
-        uint64_t seed = 0;
-        words >> seed;
+        std::string text;
+        words >> text;
+        auto seed = idlog::ParseUintFlag("--seed", text);
+        if (!seed.ok()) {
+          std::printf("error: %s\n", seed.status().ToString().c_str());
+          continue;
+        }
         engine.SetTidAssigner(
-            std::make_unique<idlog::RandomTidAssigner>(seed));
+            std::make_unique<idlog::RandomTidAssigner>(*seed));
         std::printf("random tids, seed %llu\n",
-                    static_cast<unsigned long long>(seed));
+                    static_cast<unsigned long long>(*seed));
       } else if (cmd == ".identity") {
         engine.SetTidAssigner(
             std::make_unique<idlog::IdentityTidAssigner>());
@@ -640,7 +646,10 @@ int RunRepl() {
         if (!engine.has_program() && !program_text.empty()) {
           (void)engine.LoadProgramText(program_text);
         }
-        auto result = engine.Query(pred);
+        // Without a program every relation is stored (EDB): print it as
+        // `idlog run` would.
+        auto result = engine.has_program() ? engine.Query(pred)
+                                           : engine.database().Get(pred);
         if (!result.ok()) {
           std::printf("error: %s\n", result.status().ToString().c_str());
         } else {

@@ -1,6 +1,7 @@
 #include "analysis/tid_bounds.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <set>
 
@@ -8,14 +9,21 @@ namespace idlog {
 
 namespace {
 
-// The tightest bound this clause places on variable `var` through a
-// positive comparison against a constant; nullopt if unconstrained.
-std::optional<int64_t> VariableBound(const Clause& clause,
-                                     const std::string& var) {
-  std::optional<int64_t> best;
-  auto consider = [&best](int64_t bound) {
-    if (bound < 0) bound = 0;
-    if (!best.has_value() || bound < *best) best = bound;
+// k + 1 for a tid bound `T <= k`. The largest constant (2^63 - 1) stays
+// put instead of overflowing; no group is large enough to give it a tid.
+int64_t Successor(int64_t k) {
+  return k == std::numeric_limits<int64_t>::max() ? k : k + 1;
+}
+
+// The tightest range this clause places on variable `var` through
+// positive comparisons against a constant; nullopt without an upper
+// bound.
+std::optional<TidRange> VariableRange(const Clause& clause,
+                                      const std::string& var) {
+  std::optional<int64_t> hi;
+  int64_t lo = 0;
+  auto below = [&hi](int64_t bound) {
+    if (!hi.has_value() || bound < *hi) hi = bound;
   };
   for (const Literal& lit : clause.body) {
     if (lit.negated || lit.atom.kind != AtomKind::kBuiltin) continue;
@@ -32,39 +40,60 @@ std::optional<int64_t> VariableBound(const Clause& clause,
     switch (a.builtin) {
       case BuiltinKind::kLt:  // T < k  |  k < T (no bound)
         if (lhs_is_var) {
-          if (auto k = const_num(rhs)) consider(*k);
+          if (auto k = const_num(rhs)) below(*k);
         }
         break;
       case BuiltinKind::kLe:  // T <= k
         if (lhs_is_var) {
-          if (auto k = const_num(rhs)) consider(*k + 1);
+          if (auto k = const_num(rhs)) below(Successor(*k));
         }
         break;
       case BuiltinKind::kGt:  // k > T
         if (rhs_is_var) {
-          if (auto k = const_num(lhs)) consider(*k);
+          if (auto k = const_num(lhs)) below(*k);
         }
         break;
       case BuiltinKind::kGe:  // k >= T
         if (rhs_is_var) {
-          if (auto k = const_num(lhs)) consider(*k + 1);
+          if (auto k = const_num(lhs)) below(Successor(*k));
         }
         break;
-      case BuiltinKind::kEq:  // T = c or c = T
+      case BuiltinKind::kEq: {  // T = c or c = T
+        std::optional<int64_t> c;
         if (lhs_is_var) {
-          if (auto k = const_num(rhs)) consider(*k + 1);
+          c = const_num(rhs);
         } else if (rhs_is_var) {
-          if (auto k = const_num(lhs)) consider(*k + 1);
+          c = const_num(lhs);
+        }
+        if (c) {
+          below(Successor(*c));
+          lo = std::max(lo, *c);
         }
         break;
+      }
       default:
         break;
     }
   }
-  return best;
+  if (!hi.has_value()) return std::nullopt;
+  const int64_t top = std::max<int64_t>(*hi, 0);
+  return TidRange{std::min(lo, top), top};
 }
 
 }  // namespace
+
+std::optional<TidRange> TidRangeOf(const Clause& clause,
+                                   const Literal& lit) {
+  const Term& tid = lit.atom.terms.back();
+  if (tid.is_constant()) {
+    if (!tid.value().is_number()) return std::nullopt;
+    const int64_t top =
+        std::max<int64_t>(Successor(tid.value().number()), 0);
+    return TidRange{std::min(std::max<int64_t>(tid.value().number(), 0), top),
+                    top};
+  }
+  return VariableRange(clause, tid.var_name());
+}
 
 std::map<TidBoundKey, int64_t> ComputeTidBounds(const Program& program) {
   std::map<TidBoundKey, int64_t> bounds;
@@ -76,28 +105,17 @@ std::map<TidBoundKey, int64_t> ComputeTidBounds(const Program& program) {
       TidBoundKey key{lit.atom.predicate, lit.atom.group};
       if (unbounded.count(key) > 0) continue;
 
-      const Term& tid = lit.atom.terms.back();
-      std::optional<int64_t> need;
-      if (tid.is_constant()) {
-        if (tid.value().is_number()) {
-          need = std::max<int64_t>(tid.value().number() + 1, 0);
-        }
-      } else {
-        std::optional<int64_t> var_bound =
-            VariableBound(clause, tid.var_name());
-        if (var_bound.has_value()) need = var_bound;
-      }
-
-      if (!need.has_value()) {
+      const std::optional<TidRange> range = TidRangeOf(clause, lit);
+      if (!range.has_value()) {
         unbounded.insert(key);
         bounds.erase(key);
         continue;
       }
       auto it = bounds.find(key);
       if (it == bounds.end()) {
-        bounds.emplace(std::move(key), *need);
+        bounds.emplace(std::move(key), range->hi);
       } else {
-        it->second = std::max(it->second, *need);
+        it->second = std::max(it->second, range->hi);
       }
     }
   }

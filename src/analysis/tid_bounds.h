@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +14,20 @@ namespace idlog {
 
 /// Key identifying one ID-relation: (base predicate, grouping columns).
 using TidBoundKey = std::pair<std::string, std::vector<int>>;
+
+/// The tids [lo, hi) one occurrence of an ID-literal can match.
+struct TidRange {
+  int64_t lo = 0;
+  int64_t hi = 0;
+};
+
+/// The tid range `lit` (an ID-literal of `clause`) is constrained to: a
+/// constant tid c gives [c, c+1); a tid variable T gives the
+/// intersection of the positive comparisons of T against a constant in
+/// the same body (`T < k`, `T <= k`, `T = c`, and mirrored forms). Both
+/// ends are clamped at 0. Nullopt when no upper bound is found.
+std::optional<TidRange> TidRangeOf(const Clause& clause,
+                                   const Literal& lit);
 
 /// Static tid-bound analysis (the optimization of footnotes 6/7): if
 /// every occurrence of `p[s]` in the program constrains its tid

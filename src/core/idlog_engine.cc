@@ -251,8 +251,7 @@ Status IdlogEngine::SaveCheckpoint(const std::string& path) {
     // Cold start: program config + database, no progress. A resume of
     // this snapshot evaluates from scratch against the restored state.
     static const std::map<std::string, Relation> kNoDerived;
-    static const std::map<std::pair<std::string, std::vector<int>>, Relation>
-        kNoIdRels;
+    static const IdRelationMap kNoIdRels;
     static const EvalStats kNoStats;
     SnapshotView view;
     view.symbols = &symbols_;
@@ -896,7 +895,7 @@ Result<const Relation*> IdlogEngine::Query(const std::string& pred) {
   return impl_->RelationOf(pred);
 }
 
-Result<const Relation*> IdlogEngine::QueryIdRelation(
+Result<const IdRelation*> IdlogEngine::QueryIdRelation(
     const std::string& pred, const std::vector<int>& group) {
   IDLOG_RETURN_NOT_OK(Run());
   return impl_->IdRelationOf(pred, group);
@@ -1034,7 +1033,7 @@ Result<WhyNotReport> IdlogEngine::BuildWhyNotReport(const std::string& pred,
   };
   ctx.id_relation = [this](const std::string& p,
                            const std::vector<int>& g) -> const Relation* {
-    Result<const Relation*> r = impl_->IdRelationOf(p, g);
+    Result<const IdRelation*> r = impl_->IdRelationOf(p, g);
     return r.ok() ? *r : nullptr;
   };
   return BuildWhyNot(ctx, pred, tuple, budget);

@@ -170,8 +170,8 @@ class IdlogEngine {
   Result<const Relation*> Query(const std::string& pred);
 
   /// The materialized ID-relation of (pred, group) from the last run.
-  Result<const Relation*> QueryIdRelation(const std::string& pred,
-                                          const std::vector<int>& group);
+  Result<const IdRelation*> QueryIdRelation(const std::string& pred,
+                                            const std::vector<int>& group);
 
   /// Evaluates only the program portion related to `pred` (the paper's
   /// P/q) and returns its relation by value. Useful when the loaded

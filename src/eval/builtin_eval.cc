@@ -12,7 +12,7 @@ bool BothNumbers(const Value& a, const Value& b) {
 
 }  // namespace
 
-bool BuiltinHolds(BuiltinKind kind, const std::vector<Value>& args) {
+bool BuiltinHolds(BuiltinKind kind, const Value* args) {
   switch (kind) {
     case BuiltinKind::kEq:
       return args[0] == args[1];

@@ -26,9 +26,13 @@ Status EnumerateBuiltin(BuiltinKind kind,
                         const std::vector<std::optional<Value>>& args,
                         const BuiltinSolutionFn& on_solution);
 
-/// Truth of a fully-bound built-in (for negated built-ins and filters).
-/// Sort mismatches make eq false / ne true.
-bool BuiltinHolds(BuiltinKind kind, const std::vector<Value>& args);
+/// Truth of a fully-bound built-in (for negated built-ins and filters):
+/// `args` points at its 2 or 3 argument values. Sort mismatches make eq
+/// false / ne true.
+bool BuiltinHolds(BuiltinKind kind, const Value* args);
+inline bool BuiltinHolds(BuiltinKind kind, const std::vector<Value>& args) {
+  return BuiltinHolds(kind, args.data());
+}
 
 }  // namespace idlog
 

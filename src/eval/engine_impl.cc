@@ -237,7 +237,7 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
   EvalContext ctx = BuildRunContext();
   ctx.id_relation =
       [this, assigner](const std::string& pred, const std::vector<int>& group)
-      -> Result<const Relation*> {
+      -> Result<const IdRelation*> {
     auto key = std::make_pair(pred, group);
     auto it = id_relations_.find(key);
     if (it != id_relations_.end()) return &it->second;
@@ -269,7 +269,7 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
     }
     size_t num_groups = 0;
     IDLOG_ASSIGN_OR_RETURN(
-        Relation id_rel,
+        IdRelation id_rel,
         BuildIdRelation(pred, *base, group, assigner, max_tid,
                         &num_groups));
     stats_.id_groups_assigned += num_groups;
@@ -309,20 +309,27 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
       governor_->set_stratum(s);
       IDLOG_RETURN_NOT_OK(governor_->CheckPoint(0));
     }
+    StratumProfile sp;
+    sp.index = s;
     // Materialize the ID-relations this stratum reads, in deterministic
     // clause/step order (ScriptedTidAssigner relies on this order).
+    const auto id_t0 = std::chrono::steady_clock::now();
     for (int clause_idx : strat_.clauses_by_stratum[static_cast<size_t>(s)]) {
       const RulePlan& plan = plans_[static_cast<size_t>(clause_idx)];
       for (const PlanStep& step : plan.steps) {
         if ((step.kind == PlanStep::Kind::kScan ||
              step.kind == PlanStep::Kind::kNegation) &&
             step.is_id) {
-          IDLOG_ASSIGN_OR_RETURN(const Relation* ignored,
+          IDLOG_ASSIGN_OR_RETURN(const IdRelation* ignored,
                                  ctx.id_relation(step.predicate, step.group));
           (void)ignored;
         }
       }
     }
+    sp.id_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - id_t0)
+            .count());
 
     std::vector<const RulePlan*> stratum_plans;
     std::set<std::string> stratum_preds;
@@ -332,12 +339,12 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
     }
     Status stratum_status = Status::OK();
     if (!stratum_plans.empty()) {
-      stratum_status = EvaluateStratum(stratum_plans, stratum_preds, ctx,
-                                       &derived_, seminaive);
+      stratum_status =
+          EvaluateStratum(stratum_plans, stratum_preds, ctx, &derived_,
+                          seminaive, /*seed=*/nullptr,
+                          profiling_ ? &sp : nullptr);
     }
     if (profiling_) {
-      StratumProfile sp;
-      sp.index = s;
       sp.rules = stratum_plans.size();
       sp.rounds = stats_.iterations - rounds_before;
       sp.wall_ns = static_cast<uint64_t>(
@@ -452,7 +459,7 @@ Status EngineImpl::EvaluateIncremental(
   // tainted bases, so a miss is a broken invariant rather than work.
   ctx.id_relation = [this](const std::string& pred,
                            const std::vector<int>& group)
-      -> Result<const Relation*> {
+      -> Result<const IdRelation*> {
     auto it = id_relations_.find(std::make_pair(pred, group));
     if (it == id_relations_.end()) {
       return Status::Internal("ID-relation '" + pred +
@@ -467,11 +474,15 @@ Status EngineImpl::EvaluateIncremental(
   GovernorScope governor_scope(governor_, &stats_, "incremental fixpoint");
 
   // `seed` accumulates every externally-visible change as strata run:
-  // the EDB insertions up front, then each stratum's own growth, so a
-  // later stratum differentiates on everything below it at once. Its
-  // predicates start as the taint closure (downstream IDBs included).
+  // the EDB insertions up front (ranges over the `changed` relations),
+  // then each stratum's own growth (the tail of each of its relations),
+  // so a later stratum differentiates on everything below it at once.
+  // Its predicates start as the taint closure (downstream IDBs
+  // included).
   StratumResume seed;
-  seed.delta = changed;
+  for (const auto& [pred, rel] : changed) {
+    seed.delta[pred] = DeltaRange{&rel, 0, rel.size()};
+  }
   seed.preds = tainted;
   for (int s = 0; s < strat_.num_strata; ++s) {
     std::vector<const RulePlan*> stratum_plans;
@@ -511,17 +522,16 @@ Status EngineImpl::EvaluateIncremental(
       auto it = derived_.find(pred);
       if (it != derived_.end()) size_before[pred] = it->second.size();
     }
-    StratumResume seeded = seed;
+    StratumProfile sp;
     Status stratum_status =
         EvaluateStratum(stratum_plans, stratum_preds, ctx, &derived_,
-                        /*seminaive=*/true, &seeded);
-    // Collect this stratum's growth into the seed for the strata above.
+                        /*seminaive=*/true, &seed,
+                        profiling_ ? &sp : nullptr);
+    // Hand this stratum's growth to the strata above.
     for (const auto& [pred, before] : size_before) {
       const Relation& full = derived_.at(pred);
       if (full.size() == before) continue;
-      Relation& acc =
-          seed.delta.try_emplace(pred, Relation(full.type())).first->second;
-      for (size_t i = before; i < full.size(); ++i) acc.Insert(full.row(i));
+      seed.delta[pred] = DeltaRange{&full, before, full.size()};
       seed.preds.insert(pred);
     }
     if (profiling_) {
@@ -532,16 +542,16 @@ Status EngineImpl::EvaluateIncremental(
               std::chrono::steady_clock::now() - stratum_t0)
               .count());
       bool found = false;
-      for (StratumProfile& sp : profile_.strata) {
-        if (sp.index == s) {
-          sp.rounds += stats_.iterations - rounds_before;
-          sp.wall_ns += wall;
+      for (StratumProfile& row : profile_.strata) {
+        if (row.index == s) {
+          row.rounds += stats_.iterations - rounds_before;
+          row.wall_ns += wall;
+          row.commit_ns += sp.commit_ns;
           found = true;
           break;
         }
       }
       if (!found) {
-        StratumProfile sp;
         sp.index = s;
         sp.rules = stratum_plans.size();
         sp.rounds = stats_.iterations - rounds_before;
@@ -576,7 +586,7 @@ Result<bool> EngineImpl::VerifyModel() {
   ctx.full = [this](const std::string& pred) { return FullRelation(pred); };
   ctx.id_relation = [this](const std::string& pred,
                            const std::vector<int>& group)
-      -> Result<const Relation*> {
+      -> Result<const IdRelation*> {
     auto it = id_relations_.find(std::make_pair(pred, group));
     if (it == id_relations_.end()) {
       return Status::Internal("ID-relation '" + pred +
@@ -643,7 +653,7 @@ Result<std::string> EngineImpl::ExplainPlanJson(bool analyze) const {
   return RenderExplain(analyze, /*json=*/true);
 }
 
-Result<const Relation*> EngineImpl::IdRelationOf(
+Result<const IdRelation*> EngineImpl::IdRelationOf(
     const std::string& pred, const std::vector<int>& group) const {
   auto it = id_relations_.find(std::make_pair(pred, group));
   if (it == id_relations_.end()) {

@@ -35,7 +35,7 @@ namespace idlog {
 /// stratum below it is complete in `derived`).
 struct EvalResumeState {
   std::map<std::string, Relation> derived;
-  std::map<std::pair<std::string, std::vector<int>>, Relation> id_relations;
+  IdRelationMap id_relations;
   EvalStats stats;
   bool has_analysis = false;
   PlanAnalysis analysis;
@@ -109,10 +109,7 @@ class EngineImpl {
 
   /// The evaluated state, for snapshot serialization.
   const std::map<std::string, Relation>& derived() const { return derived_; }
-  const std::map<std::pair<std::string, std::vector<int>>, Relation>&
-  id_relations() const {
-    return id_relations_;
-  }
+  const IdRelationMap& id_relations() const { return id_relations_; }
 
   /// Storage introspection (obs/dbstats): the synthesized u-domain
   /// relation (empty unless the program reads `udom`) and the live
@@ -130,8 +127,8 @@ class EngineImpl {
 
   /// Materialized ID-relation of (pred, group) from the last run, for
   /// inspection and invariant checks.
-  Result<const Relation*> IdRelationOf(const std::string& pred,
-                                       const std::vector<int>& group) const;
+  Result<const IdRelation*> IdRelationOf(
+      const std::string& pred, const std::vector<int>& group) const;
 
   /// Verifies that the relations computed by the last Evaluate() form a
   /// fixpoint model: re-runs every rule against the final state (with
@@ -247,7 +244,7 @@ class EngineImpl {
   std::set<std::string> idb_preds_;
 
   std::map<std::string, Relation> derived_;
-  std::map<std::pair<std::string, std::vector<int>>, Relation> id_relations_;
+  IdRelationMap id_relations_;
   Relation udom_;  ///< Synthesized u-domain relation.
   bool udom_needed_ = false;
 

@@ -25,6 +25,7 @@ class RuleExecutor {
       probe_width = std::max(probe_width, step.sources.size());
     }
     probe_.resize(probe_width);
+    sources_.resize(plan.steps.size());
     if (ctx_.provenance != nullptr) {
       premises_.resize(plan.steps.size());
     }
@@ -51,8 +52,9 @@ class RuleExecutor {
     if (delta_step_ >= 0) {
       const PlanStep& step =
           plan_.steps[static_cast<size_t>(delta_step_)];
-      const Relation* delta =
-          ctx_.delta ? ctx_.delta(step.predicate) : nullptr;
+      const DeltaRange* delta =
+          ctx_.deltas != nullptr ? ctx_.deltas->Find(step.predicate)
+                                 : nullptr;
       if (delta == nullptr || delta->empty()) return Status::OK();
     }
     if (ctx_.stats != nullptr) ++ctx_.stats->rule_firings;
@@ -157,15 +159,83 @@ class RuleExecutor {
     return true;
   }
 
-  Result<const Relation*> ResolveRelation(const PlanStep& step,
-                                          bool use_delta) {
+  /// What a scan or negation step reads, resolved on the step's first
+  /// entry in this evaluation and reused by every later one (relations
+  /// and indexes do not change while a round's tasks run).
+  struct StepSource {
+    bool resolved = false;
+    const Relation* rel = nullptr;  ///< Null: nothing to read.
+    size_t begin = 0;               ///< Rows [begin, end) of `rel`.
+    size_t end = 0;
+    const ColumnIndex* index = nullptr;  ///< For keyed lookups.
+    bool built = false;  ///< The first entry built/refreshed `index`.
+    bool sliced = false;
+    std::vector<uint32_t> slice;  ///< Tid-slice rows, ascending.
+  };
+
+  Status ResolveSource(size_t i, const PlanStep& step, StepSource* src) {
+    src->resolved = true;
     if (step.is_id) {
-      return ctx_.id_relation(step.predicate, step.group);
+      IDLOG_ASSIGN_OR_RETURN(const IdRelation* id,
+                             ctx_.id_relation(step.predicate, step.group));
+      src->rel = id;
+      if (id != nullptr && step.kind == PlanStep::Kind::kScan &&
+          step.tid_slice.has_value()) {
+        src->sliced = true;
+        id->SliceRows(step.tid_slice->lo, step.tid_slice->hi, &src->slice);
+        return Status::OK();
+      }
+    } else if (static_cast<int>(i) == delta_step_) {
+      const DeltaRange* delta = ctx_.deltas->Find(step.predicate);
+      src->rel = delta->rel;
+      src->begin = delta->begin;
+      src->end = delta->end;
+      if (ctx_.use_indexes && !step.key_cols.empty()) {
+        src->index = ctx_.deltas->IndexFor(step.predicate, step.key_cols);
+      }
+      return Status::OK();
+    } else {
+      src->rel = ctx_.full(step.predicate);
     }
-    if (use_delta) {
-      return ctx_.delta ? ctx_.delta(step.predicate) : nullptr;
+    if (src->rel == nullptr) return Status::OK();
+    src->end = src->rel->size();
+    if (step.kind != PlanStep::Kind::kScan || src->rel->empty() ||
+        !ctx_.use_indexes || step.key_cols.empty()) {
+      return Status::OK();
     }
-    return ctx_.full(step.predicate);
+    // Parallel workers may only read the shared cache (the driver
+    // pre-built every index the round can touch); if one is somehow
+    // missing or stale they fall back to the key-verified scan rather
+    // than mutate shared state.
+    if (ctx_.parallel_worker) {
+      auto it = ctx_.index_caches->find(src->rel);
+      if (it != ctx_.index_caches->end()) {
+        src->index = it->second->FindFresh(step.key_cols);
+      }
+      return Status::OK();
+    }
+    IDLOG_FAILPOINT("eval.index.build");
+    src->index = &const_cast<IndexCache*>(CacheFor(src->rel))
+                      ->Get(step.key_cols, &src->built);
+    if (src->built && ctx_.stats != nullptr) {
+      ++ctx_.stats->index_builds;
+      ++ctx_.stats->index_cache_misses;
+    }
+    return Status::OK();
+  }
+
+  /// Counts one candidate row of scan step `i` and, if it binds,
+  /// descends to the next step.
+  Status VisitRow(size_t i, const PlanStep& step, StepCounters* sc,
+                  TupleView row, bool check_keys) {
+    if (ctx_.stats != nullptr) ++ctx_.stats->tuples_considered;
+    if (sc != nullptr) ++sc->rows_scanned;
+    IDLOG_RETURN_NOT_OK(CheckPoint());
+    if (check_keys && !KeysMatch(step, row)) return Status::OK();
+    if (!BindRow(step, row)) return Status::OK();
+    if (ctx_.provenance != nullptr) RecordScanPremise(i, step, row);
+    if (sc != nullptr) ++sc->rows_emitted;
+    return RunStep(i + 1);
   }
 
   Status RunStep(size_t i) {
@@ -176,56 +246,39 @@ class RuleExecutor {
 
     switch (step.kind) {
       case PlanStep::Kind::kScan: {
-        bool use_delta = static_cast<int>(i) == delta_step_;
-        IDLOG_ASSIGN_OR_RETURN(const Relation* rel,
-                               ResolveRelation(step, use_delta));
-        if (rel == nullptr || rel->empty()) return Status::OK();
+        StepSource& src = sources_[i];
+        const bool first_entry = !src.resolved;
+        if (first_entry) IDLOG_RETURN_NOT_OK(ResolveSource(i, step, &src));
+        if (src.rel == nullptr) return Status::OK();
 
-        // Resolve the index for this scan, if any. Parallel workers may
-        // only read the shared cache (the driver pre-built every index
-        // the round can touch); if one is somehow missing or stale they
-        // fall back to the key-verified full scan below rather than
-        // mutate shared state.
-        const ColumnIndex* index = nullptr;
-        if (ctx_.use_indexes && !step.key_cols.empty()) {
-          if (ctx_.parallel_worker) {
-            auto it = ctx_.index_caches->find(rel);
-            if (it != ctx_.index_caches->end()) {
-              index = it->second->FindFresh(step.key_cols);
-            }
-            if (index == nullptr) {
-              if (ctx_.stats != nullptr) ++ctx_.stats->index_cache_misses;
-              if (sc != nullptr) ++sc->index_misses;
-            } else if (sc != nullptr) {
-              ++sc->index_hits;
-            }
-          } else {
-            IDLOG_FAILPOINT("eval.index.build");
-            bool rebuilt = false;
-            index = &const_cast<IndexCache*>(CacheFor(rel))
-                         ->Get(step.key_cols, &rebuilt);
-            if (rebuilt) {
-              if (ctx_.stats != nullptr) {
-                ++ctx_.stats->index_builds;
-                ++ctx_.stats->index_cache_misses;
-              }
-              if (sc != nullptr) ++sc->index_misses;
-            } else if (sc != nullptr) {
-              ++sc->index_hits;
-            }
+        if (src.sliced) {
+          // The slice holds exactly the rows whose tid the clause can
+          // match, so the constant-tid key needs no check.
+          for (uint32_t r : src.slice) {
+            IDLOG_RETURN_NOT_OK(
+                VisitRow(i, step, sc, src.rel->row(r), /*check_keys=*/false));
+          }
+          return Status::OK();
+        }
+        if (src.begin == src.end) return Status::OK();
+
+        const bool keyed = ctx_.use_indexes && !step.key_cols.empty();
+        if (keyed) {
+          if (src.index == nullptr) {
+            if (ctx_.stats != nullptr) ++ctx_.stats->index_cache_misses;
+            if (sc != nullptr) ++sc->index_misses;
+          } else if (first_entry && src.built) {
+            if (sc != nullptr) ++sc->index_misses;
+          } else if (sc != nullptr) {
+            ++sc->index_hits;
           }
         }
 
-        if (index == nullptr) {
-          for (TupleView row : rel->tuples()) {
-            if (ctx_.stats != nullptr) ++ctx_.stats->tuples_considered;
-            if (sc != nullptr) ++sc->rows_scanned;
-            IDLOG_RETURN_NOT_OK(CheckPoint());
-            if (!KeysMatch(step, row)) continue;
-            if (!BindRow(step, row)) continue;
-            if (ctx_.provenance != nullptr) RecordScanPremise(i, step, row);
-            if (sc != nullptr) ++sc->rows_emitted;
-            IDLOG_RETURN_NOT_OK(RunStep(i + 1));
+        if (src.index == nullptr) {
+          const bool check_keys = !step.key_cols.empty();
+          for (size_t r = src.begin; r < src.end; ++r) {
+            IDLOG_RETURN_NOT_OK(
+                VisitRow(i, step, sc, src.rel->row(r), check_keys));
           }
           return Status::OK();
         }
@@ -237,29 +290,25 @@ class RuleExecutor {
         }
         if (ctx_.stats != nullptr) ++ctx_.stats->index_probes;
         if (sc != nullptr) ++sc->index_probes;
-        for (size_t r : index->Lookup(TupleView(probe_.data(), nkeys))) {
-          if (ctx_.stats != nullptr) ++ctx_.stats->tuples_considered;
-          if (sc != nullptr) ++sc->rows_scanned;
-          IDLOG_RETURN_NOT_OK(CheckPoint());
-          const TupleView row = rel->row(r);
-          if (!BindRow(step, row)) continue;
-          if (ctx_.provenance != nullptr) RecordScanPremise(i, step, row);
-          if (sc != nullptr) ++sc->rows_emitted;
-          IDLOG_RETURN_NOT_OK(RunStep(i + 1));
+        for (size_t r : src.index->Lookup(TupleView(probe_.data(), nkeys))) {
+          IDLOG_RETURN_NOT_OK(
+              VisitRow(i, step, sc, src.rel->row(r), /*check_keys=*/false));
         }
         return Status::OK();
       }
 
       case PlanStep::Kind::kNegation: {
-        IDLOG_ASSIGN_OR_RETURN(const Relation* rel,
-                               ResolveRelation(step, /*use_delta=*/false));
+        StepSource& src = sources_[i];
+        if (!src.resolved) IDLOG_RETURN_NOT_OK(ResolveSource(i, step, &src));
         const size_t width = step.sources.size();
         for (size_t k = 0; k < width; ++k) probe_[k] = Resolve(step.sources[k]);
         const TupleView probe(probe_.data(), width);
         if (ctx_.stats != nullptr) ++ctx_.stats->tuples_considered;
         if (sc != nullptr) ++sc->rows_scanned;
         IDLOG_RETURN_NOT_OK(CheckPoint());
-        if (rel != nullptr && rel->Contains(probe)) return Status::OK();
+        if (src.rel != nullptr && src.rel->Contains(probe)) {
+          return Status::OK();
+        }
         if (ctx_.provenance != nullptr) {
           Premise& p = premises_[i];
           p.kind = Premise::Kind::kNegation;
@@ -272,22 +321,33 @@ class RuleExecutor {
       }
 
       case PlanStep::Kind::kBuiltin: {
-        if (step.negated) {
-          std::vector<Value> args;
-          args.reserve(step.sources.size());
-          for (const ArgSource& src : step.sources) {
-            args.push_back(Resolve(src));
+        const size_t width = step.sources.size();
+        const bool bound = std::all_of(
+            step.modes.begin(), step.modes.end(),
+            [](ArgMode m) { return m == ArgMode::kKey; });
+        if (step.negated || bound) {
+          // Fully bound: a truth check over the probe buffer, consumed
+          // before descending like a scan key.
+          for (size_t k = 0; k < width; ++k) {
+            probe_[k] = Resolve(step.sources[k]);
           }
-          if (sc != nullptr) ++sc->rows_scanned;
-          if (BuiltinHolds(step.builtin, args)) return Status::OK();
+          const bool holds = BuiltinHolds(step.builtin, probe_.data());
+          if (step.negated) {
+            if (sc != nullptr) ++sc->rows_scanned;
+            if (holds) return Status::OK();
+          } else {
+            if (!holds) return Status::OK();
+            if (sc != nullptr) ++sc->rows_scanned;
+            IDLOG_RETURN_NOT_OK(CheckPoint());
+          }
           if (ctx_.provenance != nullptr) {
-            RecordBuiltinPremise(i, step, args, /*negated=*/true);
+            RecordBuiltinPremise(i, step, probe_.data(), step.negated);
           }
           if (sc != nullptr) ++sc->rows_emitted;
           return RunStep(i + 1);
         }
-        std::vector<std::optional<Value>> args(step.sources.size());
-        for (size_t pos = 0; pos < step.sources.size(); ++pos) {
+        std::vector<std::optional<Value>> args(width);
+        for (size_t pos = 0; pos < width; ++pos) {
           if (step.modes[pos] == ArgMode::kKey) {
             args[pos] = Resolve(step.sources[pos]);
           }
@@ -312,7 +372,8 @@ class RuleExecutor {
                 }
               }
               if (ctx_.provenance != nullptr) {
-                RecordBuiltinPremise(i, step, solution, /*negated=*/false);
+                RecordBuiltinPremise(i, step, solution.data(),
+                                     /*negated=*/false);
               }
               if (sc != nullptr) ++sc->rows_emitted;
               inner = RunStep(i + 1);
@@ -332,8 +393,9 @@ class RuleExecutor {
     p.tuple.assign(row.begin(), row.end());
   }
 
+  /// `args` holds the step's step.sources.size() argument values.
   void RecordBuiltinPremise(size_t i, const PlanStep& step,
-                            const std::vector<Value>& args, bool negated) {
+                            const Value* args, bool negated) {
     static const SymbolTable& kEmptySymbols = *new SymbolTable();
     const SymbolTable& symbols =
         ctx_.symbols != nullptr ? *ctx_.symbols : kEmptySymbols;
@@ -342,7 +404,7 @@ class RuleExecutor {
     std::string text = negated ? "not " : "";
     text += BuiltinName(step.builtin);
     text += "(";
-    for (size_t a = 0; a < args.size(); ++a) {
+    for (size_t a = 0; a < step.sources.size(); ++a) {
       if (a > 0) text += ", ";
       text += args[a].ToString(symbols);
     }
@@ -355,8 +417,11 @@ class RuleExecutor {
   int delta_step_;
   RowBuffer* out_;
   std::vector<Value> slots_;
-  /// Scratch for index keys and negation probes (see the constructor).
+  /// Scratch for index keys, negation probes and bound built-in
+  /// arguments (see the constructor).
   std::vector<Value> probe_;
+  /// Per-step resolution cache (scan and negation steps).
+  std::vector<StepSource> sources_;
   std::vector<Premise> premises_;
   /// Interned head predicate id (valid only when provenance is on).
   ProvenanceStore::PredId head_pred_id_ = ProvenanceStore::kNoPred;

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/limits.h"
@@ -17,12 +18,46 @@
 #include "obs/explain.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "storage/id_relation.h"
 #include "storage/index.h"
 #include "storage/relation.h"
 
 namespace idlog {
 
 class ThreadPool;  // exec/thread_pool.h; the context only points at it.
+
+/// A semi-naive delta: the rows [begin, end) of `rel` that are new since
+/// the previous round. Rows only append to a relation within a stratum,
+/// so a round's delta of P is exactly the rows that round's commit
+/// appended to P, and the range stays valid while later rounds append
+/// past it. A session's EDB-insert seed is a range over its own small
+/// relation of inserted tuples.
+struct DeltaRange {
+  const Relation* rel = nullptr;
+  size_t begin = 0;
+  size_t end = 0;
+  size_t size() const { return end - begin; }
+  bool empty() const { return begin == end; }
+};
+
+/// The deltas one fixpoint round reads, by predicate, plus the
+/// per-round index of every keyed delta step over its range. The
+/// stratum driver builds the indexes (the same way for serial and
+/// pooled rounds) before any task runs; tasks only read this.
+struct RoundDeltas {
+  std::map<std::string, DeltaRange> ranges;
+  std::map<std::pair<std::string, std::vector<int>>, ColumnIndex> indexes;
+
+  const DeltaRange* Find(const std::string& pred) const {
+    auto it = ranges.find(pred);
+    return it == ranges.end() ? nullptr : &it->second;
+  }
+  const ColumnIndex* IndexFor(const std::string& pred,
+                              const std::vector<int>& cols) const {
+    auto it = indexes.find(std::make_pair(pred, cols));
+    return it == indexes.end() ? nullptr : &it->second;
+  }
+};
 
 /// Runtime environment a rule executes in. The resolver functions
 /// return nullptr for relations that do not exist yet (treated as
@@ -31,11 +66,11 @@ class ThreadPool;  // exec/thread_pool.h; the context only points at it.
 struct EvalContext {
   /// Full contents of an ordinary predicate (EDB or IDB).
   std::function<const Relation*(const std::string&)> full;
-  /// Delta (facts new in the previous round) of an IDB predicate.
-  std::function<const Relation*(const std::string&)> delta;
+  /// The current round's deltas (null outside a differentiated round).
+  const RoundDeltas* deltas = nullptr;
   /// Materialized ID-relation of (base predicate, grouping columns).
-  std::function<Result<const Relation*>(const std::string&,
-                                        const std::vector<int>&)>
+  std::function<Result<const IdRelation*>(const std::string&,
+                                          const std::vector<int>&)>
       id_relation;
 
   /// Pointer-keyed index caches, owned by the caller and shared across
@@ -104,9 +139,9 @@ struct EvalContext {
 
 /// Evaluates one rule bottom-up, appending every derived head tuple to
 /// `out` (arity = the head's), duplicates included. If `delta_step >=
-/// 0`, that step (which must be a positive non-ID scan) reads the delta
-/// relation instead of the full relation — the semi-naive
-/// differentiation hook.
+/// 0`, that step (which must be a positive non-ID scan) reads its
+/// predicate's delta range instead of the full relation — the
+/// semi-naive differentiation hook.
 ///
 /// Whether a derived tuple is *new* is not decided here: the caller
 /// commits `out` into the full relation, and that commit is where

@@ -75,6 +75,17 @@ Result<RulePlan> CompileRule(const Clause& clause) {
       step.sources.push_back(src);
     }
 
+    // A tid constraint turns an ID scan into a slice read, unless the
+    // scan is keyed on anything but a constant tid (it keeps its index).
+    if (step.kind == PlanStep::Kind::kScan && step.is_id) {
+      const int tid_col = static_cast<int>(atom.terms.size()) - 1;
+      const bool keyed_elsewhere =
+          !step.key_cols.empty() &&
+          (step.key_cols != std::vector<int>{tid_col} ||
+           !atom.terms.back().is_constant());
+      if (!keyed_elsewhere) step.tid_slice = TidRangeOf(clause, lit);
+    }
+
     // Negations and negated builtins never bind; everything else binds
     // its written variables for subsequent steps.
     if (!lit.negated) {

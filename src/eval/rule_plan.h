@@ -1,10 +1,12 @@
 #ifndef IDLOG_EVAL_RULE_PLAN_H_
 #define IDLOG_EVAL_RULE_PLAN_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/safety.h"
+#include "analysis/tid_bounds.h"
 #include "ast/ast.h"
 #include "common/status.h"
 #include "common/value.h"
@@ -35,6 +37,10 @@ struct PlanStep {
   bool is_id = false;          ///< Reads the materialized ID-relation.
   std::vector<int> group;      ///< ID grouping columns (0-based).
   std::vector<int> key_cols;   ///< Column positions in kKey mode.
+  /// Positive ID scans whose tid the clause constrains (TidRangeOf) and
+  /// which have no other key: the step reads only the rows with a tid
+  /// in this range, a slice of each group (IdRelation::SliceRows).
+  std::optional<TidRange> tid_slice;
 
   // kBuiltin ------------------------------------------------------------
   BuiltinKind builtin = BuiltinKind::kEq;

@@ -1,5 +1,6 @@
 #include "eval/stratum_eval.h"
 
+#include <chrono>
 #include <set>
 #include <utility>
 
@@ -8,28 +9,62 @@
 
 namespace idlog {
 
+namespace {
+
+/// Builds, before any task of the round runs, the index of every keyed
+/// delta step over its delta range — on the coordinator, the same way
+/// for serial and pooled rounds, so tasks only read `deltas`. Like the
+/// cached indexes' builds, these count as physical index work.
+Status IndexDeltas(const EvalContext& ctx, const std::vector<RoundTask>& tasks,
+                   RoundDeltas* deltas) {
+  if (!ctx.use_indexes) return Status::OK();
+  for (const RoundTask& task : tasks) {
+    if (task.delta_step < 0) continue;
+    const PlanStep& step =
+        task.plan->steps[static_cast<size_t>(task.delta_step)];
+    if (step.key_cols.empty()) continue;
+    const DeltaRange* range = deltas->Find(step.predicate);
+    if (range == nullptr || range->empty()) continue;
+    auto key = std::make_pair(step.predicate, step.key_cols);
+    if (deltas->indexes.count(key) > 0) continue;
+    // The index covers the relation's tail from `begin` on, which is the
+    // delta exactly while nothing has been appended past it.
+    if (range->end != range->rel->size()) {
+      return Status::Internal("delta range of '" + step.predicate +
+                              "' is not its relation's tail");
+    }
+    deltas->indexes.emplace(
+        std::move(key), ColumnIndex(range->rel, step.key_cols, range->begin));
+    if (ctx.stats != nullptr) {
+      ++ctx.stats->index_builds;
+      ++ctx.stats->index_cache_misses;
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                        const std::set<std::string>& stratum_preds,
                        const EvalContext& base_ctx,
                        std::map<std::string, Relation>* derived,
-                       bool seminaive, StratumResume* seed) {
-  std::map<std::string, Relation> delta;
+                       bool seminaive, const StratumResume* seed,
+                       StratumProfile* profile) {
+  RoundDeltas deltas;
   // An incremental seed feeds round 1's differentiated scans and widens
   // that round to the externally-changed predicates; afterwards only
   // intra-stratum deltas exist and the filter narrows back to
   // stratum_preds.
   std::set<std::string> seed_filter;
   if (seed != nullptr) {
-    delta = std::move(seed->delta);
+    deltas.ranges = seed->delta;
     seed_filter = stratum_preds;
     seed_filter.insert(seed->preds.begin(), seed->preds.end());
   }
 
   EvalContext ctx = base_ctx;
-  ctx.delta = [&delta](const std::string& pred) -> const Relation* {
-    auto it = delta.find(pred);
-    return it == delta.end() ? nullptr : &it->second;
-  };
+  ctx.deltas = &deltas;
 
   // EXPLAIN ANALYZE: record this stratum's per-round delta sizes. The
   // series is a logical quantity (fixpoint contents are deterministic),
@@ -41,20 +76,6 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
     round_log = &ctx.analyze->strata.back();
   }
 
-  // Each round produces fresh delta relations; their index-cache
-  // entries must be evicted or the pointer-keyed cache grows with the
-  // number of fixpoint rounds (visible on long chains like the E10
-  // sum fold).
-  auto replace_delta = [&](std::map<std::string, Relation>&& next) {
-    if (ctx.index_caches != nullptr) {
-      for (auto& [pred, rel] : delta) {
-        (void)pred;
-        ctx.index_caches->erase(&rel);
-      }
-    }
-    delta = std::move(next);
-  };
-
   // Runs one round's (rule, delta_step) tasks and commits what they
   // staged. The task list is built in the exact order the serial loop
   // evaluates; the executor runs every task (concurrently when a pool
@@ -64,13 +85,11 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
   // spans and the provenance store come out identical for every --jobs
   // setting (timing values aside). Commit is where inserts
   // become observable: a staged tuple counts as facts_inserted (and is
-  // charged to the governor, and enters the next delta) iff it is new
-  // in the full relation — the one definition of "new" that no
+  // charged to the governor, and lands in the next delta range) iff it
+  // is new in the full relation — the one definition of "new" that no
   // concatenation order can perturb.
   auto run_round = [&](std::vector<RoundTask>&& tasks, uint64_t round,
-                       bool* any_new,
-                       std::map<std::string, Relation>* next_delta)
-      -> Status {
+                       bool* any_new) -> Status {
     for (RoundTask& task : tasks) {
       task.staged = RowBuffer(task.plan->head_args.size());
       if (ctx.analyze != nullptr) {
@@ -122,14 +141,16 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
       // in serial emission order. This is the one dedup per derived
       // fact: duplicates within a task, across tasks, and re-derivations
       // from earlier rounds all fall out of the single hashed probe
-      // against full. A row found new there is new everywhere, so it
-      // joins the next delta under the same hash without a second
-      // probe. Skipped for a failed round: the round's results are
-      // discarded, exactly as the serial early return discards its
-      // staging.
+      // against full. A row found new there is appended, which is all
+      // the next delta needs. Skipped for a failed round: the round's
+      // results are discarded, exactly as the serial early return
+      // discards its staging.
       uint64_t inserted = 0;
       Status commit_status = Status::OK();
       if (!failed) {
+        const auto commit_t0 = profile != nullptr
+                                   ? std::chrono::steady_clock::now()
+                                   : std::chrono::steady_clock::time_point();
         // Evaluate() pre-creates every IDB relation with its inferred
         // type, so the head's full relation exists and is authoritative.
         auto full_it = derived->find(task.plan->head_pred);
@@ -142,7 +163,6 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                                   task.plan->head_pred + "'");
         }
         Relation& full = full_it->second;
-        Relation* fresh = nullptr;
         // Hash every staged row first, then probe with the membership
         // slot of a row a few positions ahead already in flight: the
         // probes are independent, so their cache misses overlap.
@@ -160,18 +180,16 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
           if (!full.InsertHashed(t, hashes[i])) continue;
           ++inserted;
           *any_new = true;
-          if (next_delta != nullptr) {
-            if (fresh == nullptr) {
-              fresh = &next_delta->try_emplace(task.plan->head_pred,
-                                               Relation(full.type()))
-                           .first->second;
-            }
-            fresh->InsertDistinct(t, hashes[i]);
-          }
           if (ctx.governor != nullptr && commit_status.ok()) {
             commit_status = ctx.governor->OnDerived(
                 1, ApproxTupleBytes(task.plan->head_args.size()));
           }
+        }
+        if (profile != nullptr) {
+          profile->commit_ns += static_cast<uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - commit_t0)
+                  .count());
         }
       }
       if (ctx.stats != nullptr) ctx.stats->facts_inserted += inserted;
@@ -217,7 +235,7 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
           const std::string& pred =
               task.plan->steps[static_cast<size_t>(task.delta_step)]
                   .predicate;
-          const Relation* d = ctx.delta ? ctx.delta(pred) : nullptr;
+          const DeltaRange* d = deltas.Find(pred);
           args.push_back(TraceArg::Str("delta", pred));
           args.push_back(
               TraceArg::Num("delta_size", d != nullptr ? d->size() : 0));
@@ -241,11 +259,11 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
     return round_error;
   };
 
-  auto delta_total = [&delta]() {
+  auto delta_total = [&deltas]() {
     uint64_t n = 0;
-    for (const auto& [pred, rel] : delta) {
+    for (const auto& [pred, range] : deltas.ranges) {
       (void)pred;
-      n += rel.size();
+      n += range.size();
     }
     return n;
   };
@@ -302,17 +320,29 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
     if (round > 0 && tasks.empty()) return Status::OK();
     const char* label = round == 0 ? "round0" : "delta";
     bool any = false;
-    std::map<std::string, Relation> next_delta;
     FlightRecorder::Record(FlightEventKind::kRoundStart, label, ctx.stratum,
                            static_cast<int64_t>(round),
                            static_cast<int64_t>(tasks.size()));
-    IDLOG_RETURN_NOT_OK(
-        run_round(std::move(tasks), round, &any, &next_delta));
+    IDLOG_RETURN_NOT_OK(IndexDeltas(ctx, tasks, &deltas));
+    // Rows only append within the stratum, so what this round commits
+    // to a predicate is the tail past its size now: the next delta.
+    std::map<std::string, DeltaRange> next;
+    for (const std::string& pred : stratum_preds) {
+      auto it = derived->find(pred);
+      if (it == derived->end()) continue;
+      next[pred] = DeltaRange{&it->second, it->second.size(), 0};
+    }
+    IDLOG_RETURN_NOT_OK(run_round(std::move(tasks), round, &any));
     if (ctx.stats != nullptr) ++ctx.stats->iterations;
     if (ctx.governor != nullptr) {
       IDLOG_RETURN_NOT_OK(ctx.governor->OnIteration());
     }
-    replace_delta(std::move(next_delta));
+    deltas.indexes.clear();
+    deltas.ranges.clear();
+    for (auto& [pred, range] : next) {
+      range.end = range.rel->size();
+      if (!range.empty()) deltas.ranges.emplace(pred, range);
+    }
     if (round_log != nullptr) {
       round_log->new_facts_per_round.push_back(delta_total());
     }

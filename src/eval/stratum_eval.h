@@ -10,16 +10,17 @@
 #include "common/status.h"
 #include "eval/rule_eval.h"
 #include "eval/rule_plan.h"
+#include "obs/profile.h"
 #include "storage/relation.h"
 
 namespace idlog {
 
-/// An incremental seed for EvaluateStratum: the tuples that predicates
+/// An incremental seed for EvaluateStratum: the rows that predicates
 /// changed outside the stratum (EDB insertions, lower-stratum growth)
-/// gained, keyed by predicate, and the set of predicates whose positive
-/// scans the first differentiated round must also read.
+/// gained, as delta ranges keyed by predicate, and the set of predicates
+/// whose positive scans the first differentiated round must also read.
 struct StratumResume {
-  std::map<std::string, Relation> delta;
+  std::map<std::string, DeltaRange> delta;
   std::set<std::string> preds;
 };
 
@@ -33,20 +34,26 @@ struct StratumResume {
 /// ablation baseline of bench E4); otherwise rounds after the first use
 /// delta differentiation on intra-stratum positive scans.
 ///
+/// Round r's delta of a stratum predicate is the row range its commit
+/// appended to the full relation; a delta step looked up by key gets a
+/// per-round index over that range.
+///
 /// `seed`, when set (semi-naive mode only), continues a completed
 /// fixpoint after its inputs grew: round 0 is skipped (the completed
 /// run already ran it) and the first differentiated round reads the
-/// seed's delta, also creating tasks for positive scans over
+/// seed's delta ranges, also creating tasks for positive scans over
 /// `seed->preds` — they are not in `stratum_preds`, so the normal
 /// filter would never touch their deltas. Later rounds narrow back to
 /// the intra-stratum filter (external predicates are complete; only
-/// this stratum's own growth keeps propagating). The seed's delta is
-/// consumed (moved out).
+/// this stratum's own growth keeps propagating).
+///
+/// `profile`, when set, accumulates the stratum's commit time.
 Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                        const std::set<std::string>& stratum_preds,
                        const EvalContext& base_ctx,
                        std::map<std::string, Relation>* derived,
-                       bool seminaive, StratumResume* seed = nullptr);
+                       bool seminaive, const StratumResume* seed = nullptr,
+                       StratumProfile* profile = nullptr);
 
 }  // namespace idlog
 

@@ -14,11 +14,12 @@ namespace idlog {
 
 namespace {
 
-/// Builds or refreshes, on the calling thread, every column index the
-/// tasks can reach, so workers never mutate the shared cache. The set
-/// is enumerable up front because each plan step scans one fixed
-/// relation (its predicate's full, delta, or ID relation) with fixed
-/// key columns.
+/// Builds or refreshes, on the calling thread, every cached column
+/// index the tasks can reach, so workers never mutate the shared cache.
+/// The set is enumerable up front because each keyed plan step scans
+/// one fixed relation (its predicate's full or ID relation) with fixed
+/// key columns. Delta steps read the round's own delta indexes, and tid
+/// slices need none.
 Status PrebuildIndexes(const EvalContext& ctx,
                        const std::vector<RoundTask>& tasks) {
   if (!ctx.use_indexes || ctx.index_caches == nullptr) return Status::OK();
@@ -26,15 +27,15 @@ Status PrebuildIndexes(const EvalContext& ctx,
     const RulePlan& plan = *task.plan;
     for (size_t i = 0; i < plan.steps.size(); ++i) {
       const PlanStep& step = plan.steps[i];
-      if (step.kind != PlanStep::Kind::kScan || step.key_cols.empty()) {
+      if (step.kind != PlanStep::Kind::kScan || step.key_cols.empty() ||
+          step.tid_slice.has_value() ||
+          static_cast<int>(i) == task.delta_step) {
         continue;
       }
       const Relation* rel = nullptr;
       if (step.is_id) {
         IDLOG_ASSIGN_OR_RETURN(rel,
                                ctx.id_relation(step.predicate, step.group));
-      } else if (static_cast<int>(i) == task.delta_step) {
-        rel = ctx.delta ? ctx.delta(step.predicate) : nullptr;
       } else {
         rel = ctx.full(step.predicate);
       }

@@ -57,12 +57,14 @@ struct RoundTask {
 ///
 /// With a pool (and more than one task), tasks run concurrently: the
 /// executor pre-builds (serially, via `base_ctx.index_caches`) every
-/// column index any task can touch, and workers run with
+/// cached column index any task can touch, and workers run with
 /// `EvalContext::parallel_worker` set, which makes index access
 /// lookup-only (IndexCache::FindFresh). Without a pool — or with a
 /// single task — tasks run sequentially on the calling thread with the
 /// ordinary lazy mutable index builds, so a serial run keeps its
-/// physical index counters. In both modes insert accounting
+/// physical index counters. Delta steps in both modes read the indexes
+/// the stratum driver built over the round's delta ranges
+/// (`base_ctx.deltas`). In both modes insert accounting
 /// (facts_inserted, emit rows_emitted, governor OnDerived charges,
 /// provenance byte charges) is the driver's job at Commit, where "new"
 /// is judged against the full relation — the definition that is

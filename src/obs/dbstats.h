@@ -12,6 +12,7 @@
 #include "common/symbol_table.h"
 #include "eval/provenance.h"
 #include "storage/database.h"
+#include "storage/id_relation.h"
 #include "storage/index.h"
 #include "storage/relation.h"
 #include "storage/tid_assigner.h"
@@ -113,8 +114,7 @@ struct StorageStatsView {
   const Database* database = nullptr;
   const SymbolTable* symbols = nullptr;
   const std::map<std::string, Relation>* derived = nullptr;
-  const std::map<std::pair<std::string, std::vector<int>>, Relation>*
-      id_relations = nullptr;
+  const IdRelationMap* id_relations = nullptr;
   const Relation* udom = nullptr;  ///< Synthesized u-domain, if built.
   const std::map<const Relation*, std::unique_ptr<IndexCache>>*
       index_caches = nullptr;

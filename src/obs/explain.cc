@@ -64,11 +64,15 @@ std::string StepTarget(const PlanStep& step) {
   return s;
 }
 
-/// How the step reaches its rows: the index choice for scans, a hash
-/// probe for negation, enumeration/check for built-ins.
+/// How the step reaches its rows: the tid slice or index choice for
+/// scans, a hash probe for negation, enumeration/check for built-ins.
 std::string StepAccess(const PlanStep& step, bool use_indexes) {
   switch (step.kind) {
     case PlanStep::Kind::kScan:
+      if (step.tid_slice.has_value()) {
+        return "slice[" + std::to_string(step.tid_slice->lo) + "," +
+               std::to_string(step.tid_slice->hi) + ")";
+      }
       if (step.key_cols.empty()) return "full-scan";
       if (!use_indexes) return "filter-scan";
       return "index(" + ColsToString(step.key_cols) + ")";

@@ -125,8 +125,9 @@ struct ExplainDoc {
 };
 
 /// Aligned text tree: one block per rule (clause text, rewrite notes,
-/// steps with key columns / index choice / ArgModes / delta-candidate
-/// marks), per-step counters and observed selectivity when analyzing,
+/// steps with key columns / access path — `slice[lo,hi)` for a tid
+/// slice read, else full-scan, filter-scan or index(cols) — / ArgModes
+/// / delta-candidate marks), per-step counters and observed selectivity when analyzing,
 /// then per-stratum round sizes and engine totals.
 std::string RenderExplainText(const ExplainDoc& doc);
 

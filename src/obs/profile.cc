@@ -51,13 +51,14 @@ std::string EvalProfile::ToTable() const {
               FormatMs(r->self_ns).c_str(), r->rule.c_str());
   }
   out += "\n";
-  AppendRow(&out, "%-8s %6s %7s %10s\n", "stratum", "rules", "rounds",
-            "wall-ms");
+  AppendRow(&out, "%-8s %6s %7s %10s %10s %10s\n", "stratum", "rules",
+            "rounds", "wall-ms", "id-ms", "commit-ms");
   for (const StratumProfile& s : strata) {
-    AppendRow(&out, "%-8d %6llu %7llu %10s\n", s.index,
+    AppendRow(&out, "%-8d %6llu %7llu %10s %10s %10s\n", s.index,
               static_cast<unsigned long long>(s.rules),
               static_cast<unsigned long long>(s.rounds),
-              FormatMs(s.wall_ns).c_str());
+              FormatMs(s.wall_ns).c_str(), FormatMs(s.id_ns).c_str(),
+              FormatMs(s.commit_ns).c_str());
   }
   AppendRow(&out,
             "\ntotals: tuples_considered=%llu facts_derived=%llu "
@@ -106,6 +107,10 @@ void EvalProfile::ToMetrics(MetricsRegistry* metrics) const {
     metrics->SetGauge(prefix + "rules", static_cast<int64_t>(s.rules));
     metrics->AddCounter(prefix + "rounds", s.rounds);
     metrics->ObserveDuration(prefix + "wall", s.wall_ns);
+    // Timers, like the wall: the time buckets stay out of the counter
+    // and gauge comparisons between runs.
+    metrics->ObserveDuration(prefix + "id", s.id_ns);
+    metrics->ObserveDuration(prefix + "commit", s.commit_ns);
   }
   for (const RuleProfile& r : rules) {
     // "rule.<clause>.<head>." keys stay stable across runs of one

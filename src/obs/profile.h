@@ -27,12 +27,18 @@ struct RuleProfile {
   uint64_t self_ns = 0;  ///< Wall time inside this rule's evaluations.
 };
 
-/// Fixpoint work of one stratum.
+/// Fixpoint work of one stratum. Besides the rules' self time (see
+/// RuleProfile), two buckets of the stratum's wall time are named:
+/// materializing the ID-relations it reads at entry, and committing
+/// staged rows into the full relations (hash, probe, append). At
+/// --jobs 1 the rules' self time plus both buckets fits in wall_ns.
 struct StratumProfile {
   int index = -1;
   uint64_t rules = 0;
   uint64_t rounds = 0;
   uint64_t wall_ns = 0;
+  uint64_t id_ns = 0;      ///< ID-relation materialization.
+  uint64_t commit_ns = 0;  ///< Commit of staged rows.
 };
 
 /// The per-rule / per-stratum breakdown of one evaluation, collected by

@@ -29,8 +29,9 @@ void RecordIndexBuildEvent(const ColumnIndex& index) {
 
 }  // namespace
 
-ColumnIndex::ColumnIndex(const Relation* relation, std::vector<int> cols)
-    : relation_(relation), cols_(std::move(cols)) {
+ColumnIndex::ColumnIndex(const Relation* relation, std::vector<int> cols,
+                         size_t first_row)
+    : relation_(relation), cols_(std::move(cols)), first_row_(first_row) {
   Build();
 }
 
@@ -44,7 +45,7 @@ void ColumnIndex::Build() {
 }
 
 bool ColumnIndex::KeyMatches(const KeySlot& slot, TupleView key) const {
-  const TupleView row = relation_->row(slot.first - 1);
+  const TupleView row = relation_->row(first_row_ + slot.first - 1);
   for (size_t k = 0; k < cols_.size(); ++k) {
     if (row[static_cast<size_t>(cols_[k])] != key[k]) return false;
   }
@@ -67,7 +68,7 @@ void ColumnIndex::AddRows() {
   const size_t n = relation_->size();
   const size_t ncols = cols_.size();
   Tuple key(ncols);
-  for (size_t r = next_.size(); r < n; ++r) {
+  for (size_t r = first_row_ + next_.size(); r < n; ++r) {
     const TupleView row = relation_->row(r);
     RowHasher hasher;
     for (size_t k = 0; k < ncols; ++k) {
@@ -75,7 +76,7 @@ void ColumnIndex::AddRows() {
       hasher.Add(key[k]);
     }
     const uint32_t hash = hasher.Finish();
-    const uint32_t posting = static_cast<uint32_t>(r + 1);
+    const uint32_t posting = static_cast<uint32_t>(r - first_row_ + 1);
     next_.push_back(0);
     const size_t mask = keys_.size() - 1;
     size_t i = hash & mask;
@@ -111,7 +112,7 @@ void ColumnIndex::Refresh() {
   // check is what forces the rebuild that drops the stale postings.
   if (built_uid_ == relation_->uid() &&
       built_clear_generation_ == relation_->clear_generation() &&
-      relation_->size() >= next_.size()) {
+      relation_->size() >= first_row_ + next_.size()) {
     AddRows();
   } else {
     Build();
@@ -125,7 +126,7 @@ PostingList ColumnIndex::Lookup(TupleView key) const {
     const KeySlot& slot = keys_[i];
     if (slot.first == 0) return PostingList();
     if (slot.hash == hash && KeyMatches(slot, key)) {
-      return PostingList(next_.data(), slot.first, slot.count);
+      return PostingList(next_.data(), slot.first, slot.count, first_row_);
     }
   }
 }

@@ -24,8 +24,9 @@ class PostingList {
     using pointer = void;
     using reference = size_t;
 
-    iterator(const uint32_t* next, uint32_t cur) : next_(next), cur_(cur) {}
-    size_t operator*() const { return cur_ - 1; }
+    iterator(const uint32_t* next, uint32_t cur, size_t base)
+        : next_(next), cur_(cur), base_(base) {}
+    size_t operator*() const { return base_ + cur_ - 1; }
     iterator& operator++() {
       cur_ = next_[cur_ - 1];
       return *this;
@@ -35,26 +36,32 @@ class PostingList {
 
    private:
     const uint32_t* next_;
-    uint32_t cur_;  ///< Row + 1; 0 ends the chain.
+    uint32_t cur_;  ///< Posting (row - base) + 1; 0 ends the chain.
+    size_t base_;
   };
 
   PostingList() = default;
-  PostingList(const uint32_t* next, uint32_t first, uint32_t count)
-      : next_(next), first_(first), count_(count) {}
+  PostingList(const uint32_t* next, uint32_t first, uint32_t count,
+              size_t base)
+      : next_(next), first_(first), count_(count), base_(base) {}
 
   size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
-  iterator begin() const { return iterator(next_, first_); }
-  iterator end() const { return iterator(next_, 0); }
+  iterator begin() const { return iterator(next_, first_, base_); }
+  iterator end() const { return iterator(next_, 0, base_); }
 
  private:
   const uint32_t* next_ = nullptr;
   uint32_t first_ = 0;
   uint32_t count_ = 0;
+  size_t base_ = 0;  ///< Row of posting 1 (the index's first row).
 };
 
 /// A hash index over a column subset of a Relation. Maps a key (the
 /// projection of a tuple onto `cols`) to the row positions holding it.
+/// It covers the rows from `first_row` on: 0 for a relation's cached
+/// indexes, the start of the range for a semi-naive delta's per-round
+/// index (a delta is the tail a relation grew by).
 ///
 /// Layout: an open-addressing key table (linear probing, doubling at
 /// load 1/2) whose entries hold the key hash, the first and last row of
@@ -64,7 +71,8 @@ class PostingList {
 /// no per-key heap allocation.
 class ColumnIndex {
  public:
-  ColumnIndex(const Relation* relation, std::vector<int> cols);
+  ColumnIndex(const Relation* relation, std::vector<int> cols,
+              size_t first_row = 0);
 
   /// Rebuilds if the relation changed since construction/last refresh.
   void Refresh();
@@ -103,19 +111,21 @@ class ColumnIndex {
   static constexpr size_t kMinKeySlots = 8;
 
   void Build();
-  /// Indexes rows [next_.size(), relation size).
+  /// Indexes rows [first_row_ + next_.size(), relation size).
   void AddRows();
   bool KeyMatches(const KeySlot& slot, TupleView key) const;
   void GrowKeys();
 
   const Relation* relation_;
   std::vector<int> cols_;
+  size_t first_row_ = 0;
   uint64_t built_version_ = 0;
   uint64_t built_uid_ = 0;
   uint64_t built_clear_generation_ = 0;
   std::vector<KeySlot> keys_;
   size_t num_keys_ = 0;
-  /// next_[r] = successor row + 1 of row r in its key's chain (0 = end).
+  /// next_[p] = successor posting + 1 of posting p (row first_row_ + p)
+  /// in its key's chain (0 = end). Key-table entries hold postings + 1.
   std::vector<uint32_t> next_;
 };
 

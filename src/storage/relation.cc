@@ -13,6 +13,30 @@ uint64_t Relation::NextUid() {
   return ++counter;
 }
 
+Relation Relation::AdoptDistinctRows(RelationType type, RowBuffer rows) {
+  Relation out(std::move(type));
+  out.version_ = rows.size();
+  out.rows_ = std::move(rows);
+  out.membership_pending_ = std::make_unique<std::once_flag>();
+  return out;
+}
+
+void Relation::BuildPendingMembership() const {
+  std::call_once(*membership_pending_, [this] {
+    size_t capacity = kMinSlots;
+    while (capacity < rows_.size() * 2) capacity *= 2;
+    slots_.assign(capacity, 0);
+    const size_t mask = capacity - 1;
+    const size_t arity = rows_.arity();
+    for (size_t r = 0; r < rows_.size(); ++r) {
+      const uint32_t hash = HashRow(rows_[r].data(), arity);
+      size_t i = hash & mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = PackSlot(hash, r);
+    }
+  });
+}
+
 size_t Relation::FindSlot(TupleView t, uint32_t hash) const {
   if (slots_.empty()) return npos;
   const size_t mask = slots_.size() - 1;
@@ -45,6 +69,7 @@ void Relation::Rehash(size_t capacity) {
 }
 
 bool Relation::InsertHashed(TupleView t, uint32_t hash) {
+  MaterializeMembership();
   ReserveSlot();
   const size_t mask = slots_.size() - 1;
   size_t i = hash & mask;
@@ -57,16 +82,6 @@ bool Relation::InsertHashed(TupleView t, uint32_t hash) {
   rows_.Append(t);
   ++version_;
   return true;
-}
-
-void Relation::InsertDistinct(TupleView t, uint32_t hash) {
-  ReserveSlot();
-  const size_t mask = slots_.size() - 1;
-  size_t i = hash & mask;
-  while (slots_[i] != 0) i = (i + 1) & mask;
-  slots_[i] = PackSlot(hash, rows_.size());
-  rows_.Append(t);
-  ++version_;
 }
 
 Status Relation::InsertChecked(TupleView t) {
@@ -109,6 +124,7 @@ void Relation::DeleteSlot(size_t i) {
 
 bool Relation::Erase(TupleView t) {
   if (t.size() != rows_.arity()) return false;
+  MaterializeMembership();
   const size_t found = FindSlot(t, HashRow(t.data(), t.size()));
   if (found == npos) return false;
   // Swap-and-pop keeps erasure O(1); the order perturbation is
@@ -130,17 +146,11 @@ bool Relation::Erase(TupleView t) {
 }
 
 void Relation::Clear() {
+  membership_pending_.reset();  // no rows left to build a table from
   rows_.Clear();
   std::fill(slots_.begin(), slots_.end(), 0);
   ++version_;
   ++clear_generation_;
-}
-
-void Relation::Reserve(size_t rows) {
-  rows_.Reserve(rows);
-  size_t capacity = slots_.empty() ? kMinSlots : slots_.size();
-  while (capacity < rows * 2) capacity *= 2;
-  if (capacity > slots_.size()) Rehash(capacity);
 }
 
 std::vector<Tuple> Relation::SortedTuples() const {

@@ -5,6 +5,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/status.h"
@@ -129,20 +131,35 @@ class RowBuffer {
 /// tid assignment (IdentityTidAssigner) enumerates group members in
 /// this order. No semantic meaning attaches to it — IDLOG queries are
 /// generic, so any order yields *a* legal ID-function.
+///
+/// A relation adopted from rows known to be distinct (AdoptDistinctRows)
+/// defers its membership table: a reader that only scans it never pays
+/// for one, and the first probe (Find/Contains) builds it under a
+/// std::call_once, so concurrent probes from parallel round tasks are
+/// race-free. Mutations build it first as well.
 class Relation {
  public:
   Relation() : uid_(NextUid()) {}
   explicit Relation(RelationType type)
       : type_(std::move(type)), rows_(type_.size()), uid_(NextUid()) {}
 
+  /// A relation of `rows` (whose arity must match `type`), which the
+  /// caller guarantees are pairwise distinct. No membership table is
+  /// built until the first probe or mutation; the version reads as if
+  /// every row had been inserted.
+  static Relation AdoptDistinctRows(RelationType type, RowBuffer rows);
+
+  // Copies and moves are not thread-safe against a concurrent first
+  // probe of the source; evaluation never copies a relation mid-round.
   Relation(const Relation& o)
       : type_(o.type_), rows_(o.rows_), slots_(o.slots_),
-        version_(o.version_), uid_(NextUid()),
-        clear_generation_(o.clear_generation_) {}
+        membership_pending_(PendingCopyOf(o)), version_(o.version_),
+        uid_(NextUid()), clear_generation_(o.clear_generation_) {}
   Relation& operator=(const Relation& o) {
     type_ = o.type_;
     rows_ = o.rows_;
     slots_ = o.slots_;
+    membership_pending_ = PendingCopyOf(o);
     version_ = o.version_;
     uid_ = NextUid();  // contents replaced wholesale: new identity
     clear_generation_ = o.clear_generation_;
@@ -150,7 +167,9 @@ class Relation {
   }
   Relation(Relation&& o) noexcept
       : type_(std::move(o.type_)), rows_(std::move(o.rows_)),
-        slots_(std::move(o.slots_)), version_(o.version_), uid_(NextUid()),
+        slots_(std::move(o.slots_)),
+        membership_pending_(std::move(o.membership_pending_)),
+        version_(o.version_), uid_(NextUid()),
         clear_generation_(o.clear_generation_) {
     o.Reset();
   }
@@ -158,6 +177,7 @@ class Relation {
     type_ = std::move(o.type_);
     rows_ = std::move(o.rows_);
     slots_ = std::move(o.slots_);
+    membership_pending_ = std::move(o.membership_pending_);
     version_ = o.version_;
     uid_ = NextUid();
     clear_generation_ = o.clear_generation_;
@@ -176,22 +196,17 @@ class Relation {
   bool Insert(const Tuple& t) { return Insert(TupleView(t)); }
 
   /// Insert with the row hash (HashRow over `t`) already computed —
-  /// the commit path hashes a staged row once and reuses the hash for
-  /// the next delta. `t.size()` must equal arity().
+  /// the commit path hashes its staged rows up front so it can prefetch
+  /// their membership slots. `t.size()` must equal arity().
   bool InsertHashed(TupleView t, uint32_t hash);
 
   /// Hints the cache to load the membership slot a probe with `hash`
   /// starts at (no effect on contents).
   void PrefetchSlot(uint32_t hash) const {
-    if (!slots_.empty()) {
+    if (membership_pending_ == nullptr && !slots_.empty()) {
       __builtin_prefetch(slots_.data() + (hash & (slots_.size() - 1)));
     }
   }
-
-  /// Appends `t`, known to be absent (e.g. it was just found new in a
-  /// relation this one is a subset of), without comparing it against
-  /// any stored row. `hash` is HashRow over `t`.
-  void InsertDistinct(TupleView t, uint32_t hash);
 
   /// Inserts with sort checking against the relation type.
   Status InsertChecked(TupleView t);
@@ -203,6 +218,7 @@ class Relation {
   static constexpr size_t npos = ~size_t{0};
   size_t Find(TupleView t) const {
     if (t.size() != rows_.arity()) return npos;
+    if (membership_pending_ != nullptr) BuildPendingMembership();
     const size_t slot = FindSlot(t, HashRow(t.data(), t.size()));
     return slot == npos ? npos : SlotRow(slots_[slot]);
   }
@@ -243,9 +259,6 @@ class Relation {
   /// Removes all tuples.
   void Clear();
 
-  /// Pre-sizes the row array and the membership table for `rows` rows.
-  void Reserve(size_t rows);
-
   /// Overwrites the change counters. Snapshot decode only: a relation
   /// rebuilt from its serialized rows must report the same logical
   /// version / clear generation as the live relation it was cut from,
@@ -262,8 +275,8 @@ class Relation {
   /// Set equality regardless of insertion order.
   bool SetEquals(const Relation& other) const;
 
-  /// Heap bytes actually held (row array plus membership table) —
-  /// tests compare ApproxTupleBytes against it.
+  /// Heap bytes actually held (row array plus membership table, once
+  /// built) — tests compare ApproxTupleBytes against it.
   size_t heap_bytes() const {
     return rows_.capacity_bytes() + slots_.capacity() * sizeof(uint64_t);
   }
@@ -284,6 +297,21 @@ class Relation {
     return static_cast<uint32_t>(slot >> 32);
   }
 
+  static std::unique_ptr<std::once_flag> PendingCopyOf(const Relation& o) {
+    return o.membership_pending_ != nullptr && o.slots_.empty()
+               ? std::make_unique<std::once_flag>()
+               : nullptr;
+  }
+  /// Builds the deferred membership table; any number of concurrent
+  /// readers may call it, one of them does the work.
+  void BuildPendingMembership() const;
+  /// The mutators' form: builds a deferred table and drops the flag.
+  void MaterializeMembership() {
+    if (membership_pending_ == nullptr) return;
+    BuildPendingMembership();
+    membership_pending_.reset();
+  }
+
   /// Slot index holding `t`, or npos.
   size_t FindSlot(TupleView t, uint32_t hash) const;
   /// Grows the table (if needed) so one more row keeps load <= 1/2.
@@ -297,12 +325,17 @@ class Relation {
     type_.clear();
     rows_ = RowBuffer();
     slots_.clear();
+    membership_pending_.reset();
   }
 
   RelationType type_;
   RowBuffer rows_;
   /// Open-addressing membership table; size 0 or a power of two.
-  std::vector<uint64_t> slots_;
+  /// Mutable only so a deferred table can be built on a const probe.
+  mutable std::vector<uint64_t> slots_;
+  /// Non-null while the membership table is deferred; set and reset
+  /// only by single-threaded operations (adoption, mutation, copy).
+  std::unique_ptr<std::once_flag> membership_pending_;
   uint64_t version_ = 0;
   uint64_t uid_ = 0;
   uint64_t clear_generation_ = 0;

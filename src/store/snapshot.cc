@@ -747,9 +747,16 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
           Relation rel;
           IDLOG_RETURN_NOT_OK(
               ReadRelation(&r, snap.symbols.size(), with_counters, &rel));
+          Result<IdRelation> id_rel =
+              IdRelation::FromRows(std::move(rel), group);
+          if (!id_rel.ok()) {
+            return Status::InvalidArgument("snapshot corrupt: section " +
+                                           r.where + ": " +
+                                           id_rel.status().message());
+          }
           snap.id_relations.emplace(
               std::make_pair(std::move(pred), std::move(group)),
-              std::move(rel));
+              std::move(*id_rel));
         }
         break;
       }

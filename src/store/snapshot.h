@@ -16,6 +16,7 @@
 #include "obs/explain.h"
 #include "obs/profile.h"
 #include "storage/database.h"
+#include "storage/id_relation.h"
 #include "storage/relation.h"
 
 namespace idlog {
@@ -91,8 +92,7 @@ struct SnapshotView {
   const SymbolTable* symbols = nullptr;
   const Database* database = nullptr;
   const std::map<std::string, Relation>* derived = nullptr;
-  const std::map<std::pair<std::string, std::vector<int>>, Relation>*
-      id_relations = nullptr;
+  const IdRelationMap* id_relations = nullptr;
   const EvalStats* stats = nullptr;
   const PlanAnalysis* analysis = nullptr;  ///< May be null.
   const EvalProfile* profile = nullptr;    ///< May be null.
@@ -113,7 +113,7 @@ struct SnapshotData {
   std::vector<NamedRelation> edb;      ///< In database creation order.
   std::vector<SymbolId> u_domain;      ///< Includes tuple-less extras.
   std::map<std::string, Relation> derived;
-  std::map<std::pair<std::string, std::vector<int>>, Relation> id_relations;
+  IdRelationMap id_relations;  ///< Group layout rebuilt on decode.
   EvalStats stats;
   bool has_analysis = false;
   PlanAnalysis analysis;

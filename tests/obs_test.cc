@@ -185,6 +185,57 @@ TEST(EngineObservability, ProfileColumnsSumToEngineTotals) {
   EXPECT_TRUE(ValidateJson(json).ok()) << json;
 }
 
+// The stratum profile names two buckets of a stratum's wall time beside
+// the rules' self time: ID-relation materialization and commit. The
+// three are disjoint stretches of the stratum, so they fit in its wall,
+// serial or pooled (each round here has one task with real work; the
+// others find an empty input at once). Exported as timers, they stay
+// out of the counter and gauge comparisons.
+TEST(EngineObservability, StratumTimeBucketsFitTheWall) {
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    IdlogEngine engine;
+    for (int i = 0; i < 3000; ++i) {
+      ASSERT_TRUE(engine
+                      .AddRow("edge", {std::to_string(i % 700),
+                                       std::to_string((i * 37 + 11) % 700)})
+                      .ok());
+    }
+    ASSERT_TRUE(engine
+                    .LoadProgramText(
+                        "first(X, Y) :- edge[1](X, Y, 0).\n"
+                        "tc(X, Y) :- first(X, Y).\n"
+                        "tc(X, Z) :- tc(X, Y), first(Y, Z).\n")
+                    .ok());
+    engine.SetThreads(jobs);
+    engine.EnableProfiling(true);
+    ASSERT_TRUE(engine.Run().ok());
+    const EvalProfile& profile = engine.profile();
+    uint64_t id_ns = 0, commit_ns = 0;
+    for (const StratumProfile& sp : profile.strata) {
+      uint64_t self_ns = 0;
+      for (const RuleProfile& rp : profile.rules) {
+        if (rp.stratum == sp.index) self_ns += rp.self_ns;
+      }
+      EXPECT_LE(self_ns + sp.id_ns + sp.commit_ns, sp.wall_ns)
+          << "stratum " << sp.index << ": self " << self_ns << " id "
+          << sp.id_ns << " commit " << sp.commit_ns;
+      id_ns += sp.id_ns;
+      commit_ns += sp.commit_ns;
+    }
+    EXPECT_GT(id_ns, 0u);
+    EXPECT_GT(commit_ns, 0u);
+
+    MetricsRegistry metrics;
+    profile.ToMetrics(&metrics);
+    EXPECT_EQ(metrics.timers().count("stratum.0.id"), 1u);
+    EXPECT_EQ(metrics.timers().count("stratum.0.commit"), 1u);
+    const std::string table = profile.ToTable();
+    EXPECT_NE(table.find("id-ms"), std::string::npos) << table;
+    EXPECT_NE(table.find("commit-ms"), std::string::npos) << table;
+  }
+}
+
 TEST(EngineObservability, CountersAreDeterministicAcrossIdenticalRuns) {
   auto run = [](MetricsRegistry* metrics) {
     IdlogEngine engine;

@@ -573,6 +573,23 @@ TEST(ParallelSweep, SingleRecursiveRuleTransitiveClosure) {
       edb, {"path"});
 }
 
+// Negated ID-literals probe the ID-relation by full tuple, which builds
+// its deferred membership table. Four rules of one pooled round make
+// their first probes at the same time; the table must be built once and
+// race-free (the TSan job runs this), and the run must match serial.
+TEST(ParallelSweep, NegatedIdLiteralsShareTheDeferredMembership) {
+  std::vector<std::vector<std::string>> edb;
+  for (int i = 0; i < 200; ++i) {
+    edb.push_back({"item", Numbered("x", i), Numbered("g", i % 9)});
+  }
+  ExpectSweepMatchesBaseline(
+      "a(X) :- item(X, G), not item[2](X, G, 0).\n"
+      "b(X) :- item(X, G), not item[2](X, G, 1).\n"
+      "c(X) :- item(X, G), not item[2](X, G, 2).\n"
+      "d(X) :- item(X, G), not item[2](X, G, 3).\n",
+      edb, {"a", "b", "c", "d"});
+}
+
 // A governor trip mid-way through a parallel fixpoint is part of the
 // determinism contract too: derived-tuple charges happen at Commit in
 // task order, a coordinator-side sequence identical for every jobs

@@ -10,6 +10,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/limits.h"
@@ -116,6 +117,66 @@ TEST(Relation, AssignmentChangesUid) {
   EXPECT_NE(a.uid(), uid);
   EXPECT_NE(a.uid(), b.uid());
   EXPECT_EQ(a.size(), 1u);
+}
+
+// Adopted distinct rows defer the membership table to the first probe.
+// Concurrent first probes (parallel round tasks negating an
+// ID-relation) build it once; the TSan job runs this test.
+TEST(Relation, AdoptedRowsBuildMembershipOnFirstProbe) {
+  SymbolTable s;
+  RowBuffer rows(2);
+  for (int i = 0; i < 500; ++i) {
+    rows.Append(T(&s, {Numbered("k", i), Numbered("v", i % 7)}));
+  }
+  Relation rel = Relation::AdoptDistinctRows(UU(), std::move(rows));
+  EXPECT_EQ(rel.size(), 500u);
+  EXPECT_EQ(rel.version(), 500u);
+  const size_t rows_only = rel.heap_bytes();
+
+  std::vector<std::thread> probes;
+  std::vector<int> found(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    probes.emplace_back([&, t] {
+      for (int i = t; i < 500; i += 4) {
+        found[static_cast<size_t>(t)] +=
+            rel.Contains(rel.row(static_cast<size_t>(i))) ? 1 : 0;
+      }
+    });
+  }
+  for (std::thread& th : probes) th.join();
+  EXPECT_EQ(found[0] + found[1] + found[2] + found[3], 500);
+  EXPECT_GT(rel.heap_bytes(), rows_only);
+  EXPECT_FALSE(rel.Contains(T(&s, {"k1", "v0"})));
+
+  // Mutations see the adopted rows: a duplicate is refused, an erase
+  // finds its row.
+  RowBuffer more(2);
+  more.Append(T(&s, {"a", "b"}));
+  more.Append(T(&s, {"c", "d"}));
+  Relation small = Relation::AdoptDistinctRows(UU(), std::move(more));
+  Relation copy = small;
+  EXPECT_FALSE(small.Insert(T(&s, {"a", "b"})));
+  EXPECT_TRUE(small.Erase(T(&s, {"c", "d"})));
+  EXPECT_EQ(small.size(), 1u);
+  EXPECT_TRUE(copy.Contains(T(&s, {"c", "d"})));
+  EXPECT_EQ(copy.size(), 2u);
+}
+
+// A delta's per-round index covers only the relation's tail, and its
+// postings are absolute row positions.
+TEST(ColumnIndex, TailIndexCoversRowsFromFirstRow) {
+  SymbolTable s;
+  Relation r(UU());
+  r.Insert(T(&s, {"a", "x"}));
+  r.Insert(T(&s, {"b", "y"}));
+  r.Insert(T(&s, {"a", "z"}));
+  r.Insert(T(&s, {"a", "w"}));
+  ColumnIndex tail(&r, {0}, 2);
+  std::vector<size_t> rows;
+  for (size_t row : tail.Lookup(T(&s, {"a"}))) rows.push_back(row);
+  EXPECT_EQ(rows, (std::vector<size_t>{2, 3}));
+  EXPECT_TRUE(tail.Lookup(T(&s, {"b"})).empty());
+  EXPECT_EQ(tail.num_entries(), 2u);
 }
 
 TEST(ColumnIndex, LookupByColumnSubset) {

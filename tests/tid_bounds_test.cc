@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "analysis/tid_bounds.h"
@@ -36,6 +37,29 @@ TEST(TidBounds, LessEqualAndMirroredForms) {
   EXPECT_EQ((BoundsOf("q(N) :- e[1](N, T), 5 > T.")[TidBoundKey{"e", {0}}]), 5);
   EXPECT_EQ((BoundsOf("q(N) :- e[1](N, T), 5 >= T.")[TidBoundKey{"e", {0}}]), 6);
   EXPECT_EQ((BoundsOf("q(N) :- e[1](N, T), T = 4.")[TidBoundKey{"e", {0}}]), 5);
+}
+
+// The largest constant the lexer accepts is a bound too; k + 1 must not
+// overflow into a negative bound that would truncate every group to
+// nothing.
+TEST(TidBounds, LargestConstantDoesNotOverflow) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ((BoundsOf("q(N) :- e[1](N, T), T <= 9223372036854775807.")
+                 [TidBoundKey{"e", {0}}]),
+            kMax);
+  EXPECT_EQ((BoundsOf("q(N) :- e[](N, 9223372036854775807).")
+                 [TidBoundKey{"e", {}}]),
+            kMax);
+  IdlogEngine engine;
+  ASSERT_TRUE(engine.AddRow("e", {"a"}).ok());
+  ASSERT_TRUE(engine.AddRow("e", {"b"}).ok());
+  ASSERT_TRUE(engine
+                  .LoadProgramText(
+                      "q(N) :- e[1](N, T), T <= 9223372036854775807.")
+                  .ok());
+  auto q = engine.Query("q");
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ((*q)->size(), 2u);
 }
 
 TEST(TidBounds, TightestConstraintWins) {

@@ -10,10 +10,6 @@ namespace {
 
 constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
 
-/// Largest in-range slice of a group read through tid_row and sorted;
-/// wider slices filter the group's rows by their tid column instead.
-constexpr size_t kGatherMax = 16;
-
 Status CheckGroupColumns(const std::string& predicate, size_t arity,
                          const std::vector<int>& group) {
   for (int c : group) {
@@ -92,28 +88,17 @@ void IdRelation::SliceRows(int64_t lo, int64_t hi,
                            std::vector<uint32_t>* out) const {
   lo = std::max<int64_t>(lo, 0);
   if (hi <= lo) return;
-  const size_t tid_col = static_cast<size_t>(arity()) - 1;
   const uint64_t first = static_cast<uint64_t>(lo);
   for (size_t g = 0; g < num_groups(); ++g) {
     const uint32_t begin = group_begin_[g];
-    const uint32_t end = group_begin_[g + 1];
-    const uint64_t m = end - begin;
+    const uint64_t m = group_begin_[g + 1] - begin;
     if (first >= m) continue;
     const uint64_t last = std::min<uint64_t>(static_cast<uint64_t>(hi), m);
-    if (last - first == m) {
-      for (uint32_t r = begin; r < end; ++r) out->push_back(r);
-    } else if (last - first <= kGatherMax) {
-      const size_t start = out->size();
-      for (uint64_t t = first; t < last; ++t) {
-        out->push_back(tid_row_[begin + t]);
-      }
-      std::sort(out->begin() + static_cast<ptrdiff_t>(start), out->end());
-    } else {
-      for (uint32_t r = begin; r < end; ++r) {
-        const int64_t tid = row(r)[tid_col].number();
-        if (tid >= lo && static_cast<uint64_t>(tid) < last) out->push_back(r);
-      }
+    const size_t start = out->size();
+    for (uint64_t t = first; t < last; ++t) {
+      out->push_back(tid_row_[begin + t]);
     }
+    std::sort(out->begin() + static_cast<ptrdiff_t>(start), out->end());
   }
 }
 

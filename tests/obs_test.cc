@@ -186,11 +186,13 @@ TEST(EngineObservability, ProfileColumnsSumToEngineTotals) {
 }
 
 // The stratum profile names two buckets of a stratum's wall time beside
-// the rules' self time: ID-relation materialization and commit. The
-// three are disjoint stretches of the stratum, so they fit in its wall,
-// serial or pooled (each round here has one task with real work; the
-// others find an empty input at once). Exported as timers, they stay
-// out of the counter and gauge comparisons.
+// the rules' self time: ID-relation materialization and commit. Both run
+// on the coordinator, disjoint from each other, so they fit in the wall
+// serial or pooled. The rules' self time joins them in the wall only at
+// --jobs 1: under --jobs 4 the tasks of one round run at once and their
+// self times overlap, as those of the two independent joins here do.
+// Exported as timers, the buckets stay out of the counter and gauge
+// comparisons.
 TEST(EngineObservability, StratumTimeBucketsFitTheWall) {
   for (int jobs : {1, 4}) {
     SCOPED_TRACE(jobs);
@@ -205,7 +207,9 @@ TEST(EngineObservability, StratumTimeBucketsFitTheWall) {
                     .LoadProgramText(
                         "first(X, Y) :- edge[1](X, Y, 0).\n"
                         "tc(X, Y) :- first(X, Y).\n"
-                        "tc(X, Z) :- tc(X, Y), first(Y, Z).\n")
+                        "tc(X, Z) :- tc(X, Y), first(Y, Z).\n"
+                        "two(X, Z) :- edge(X, Y), edge(Y, Z).\n"
+                        "back(X, Z) :- edge(Y, X), edge(Z, Y).\n")
                     .ok());
     engine.SetThreads(jobs);
     engine.EnableProfiling(true);
@@ -217,9 +221,14 @@ TEST(EngineObservability, StratumTimeBucketsFitTheWall) {
       for (const RuleProfile& rp : profile.rules) {
         if (rp.stratum == sp.index) self_ns += rp.self_ns;
       }
-      EXPECT_LE(self_ns + sp.id_ns + sp.commit_ns, sp.wall_ns)
-          << "stratum " << sp.index << ": self " << self_ns << " id "
-          << sp.id_ns << " commit " << sp.commit_ns;
+      EXPECT_LE(sp.id_ns + sp.commit_ns, sp.wall_ns)
+          << "stratum " << sp.index << ": id " << sp.id_ns << " commit "
+          << sp.commit_ns;
+      if (jobs == 1) {
+        EXPECT_LE(self_ns + sp.id_ns + sp.commit_ns, sp.wall_ns)
+            << "stratum " << sp.index << ": self " << self_ns << " id "
+            << sp.id_ns << " commit " << sp.commit_ns;
+      }
       id_ns += sp.id_ns;
       commit_ns += sp.commit_ns;
     }

@@ -31,9 +31,8 @@ std::vector<std::string> InOrder(const Relation& rel,
   return out;
 }
 
-/// emp(Name, Dept): 7 departments of sizes 1..7 plus one of 40 (wider
-/// than a gathered slice), rows interleaved so that row order and group
-/// order differ.
+/// emp(Name, Dept): 7 departments of sizes 1..7 plus one of 40, rows
+/// interleaved so that row order and group order differ.
 std::vector<std::vector<std::string>> Employees() {
   std::vector<std::vector<std::string>> rows;
   std::vector<int> left = {1, 2, 3, 4, 5, 6, 7, 40};
@@ -166,8 +165,8 @@ Relation EmployeeRelation(SymbolTable* symbols) {
 }
 
 // SliceRows returns, in ascending row order, exactly the rows whose tid
-// is in range — across the full-group, gathered and filtered paths, and
-// over pushdown prefixes.
+// is in range — for slices narrower than, as wide as and wider than a
+// group, and over pushdown prefixes.
 TEST(IdRelationLayout, SliceRowsMatchesFilteringTheRows) {
   SymbolTable symbols;
   const Relation emp = EmployeeRelation(&symbols);
